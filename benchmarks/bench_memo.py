@@ -1,11 +1,12 @@
 """BENCH-MEMO — Canonical-form memoization: hit rate and warm-run speedup.
 
-Drives a suite full of duplicated *and permuted* blocks through the engine
-uncached, cold-cache, warm-cache and isomorphism-dedup; every path must
-produce cut sets bit-identical to the uncached run (asserted).  The warm run
-must observe a 100% hit rate (``gate_min`` on ``warm_hit_rate``) and beat
-the uncached run by at least 2x (``gate_min`` on ``warm_speedup`` — the
-ROADMAP bar).
+Drives a suite full of duplicated *and permuted* blocks through per-block
+recomputation (the uncached baseline) and through the engine without a
+store (whole-block dedup), with a cold store and with a warm store; every
+path must produce cut sets bit-identical to the baseline (asserted).  The
+warm run must observe a 100% hit rate (``gate_min`` on ``warm_hit_rate``)
+and beat the baseline by at least 2x (``gate_min`` on ``warm_speedup`` —
+the ROADMAP bar).
 
 The measurement body and gates live in the unified harness
 (``repro.perf.suites.engine``, benchmark name ``memo``); this script is the

@@ -4,7 +4,7 @@ The benchmark harness prints the same artefacts the paper reports: the
 Figure 5 scatter (as an ASCII log-log plot plus the underlying table), simple
 aligned tables for the scaling/ablation experiments, and per-cluster
 summaries.  Everything is plain text so results can be diffed and pasted into
-EXPERIMENTS.md.
+the README.
 """
 
 from __future__ import annotations

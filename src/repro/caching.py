@@ -1,11 +1,8 @@
-"""Bounded mapping primitive shared by the repo's hot-path memo tables.
+"""Bounded mapping primitive for the repo's hot-path memo tables.
 
-Two subsystems independently grew the same idiom — a plain dict with a size
-cap, FIFO eviction of the oldest insertion, and hit/miss counters
-(:class:`~repro.dfg.reachability.ReachabilityIndex`'s forbidden-between memo
-and the contribution-table region cache).  :class:`BoundedMemo` is the single
-implementation both now share, and the building block for the in-search
-memo's per-domain tables (:mod:`repro.memo.insearch`).
+A plain dict with a size cap, FIFO eviction of the oldest insertion, and
+hit/miss counters — the idiom behind
+:class:`~repro.dfg.reachability.ReachabilityIndex`'s forbidden-between memo.
 
 Design notes:
 
@@ -23,7 +20,7 @@ Design notes:
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -59,23 +56,6 @@ class BoundedMemo(Generic[K, V]):
         self.hits += 1
         return value  # type: ignore[return-value]
 
-    def peek(self, key: K, default: Optional[V] = None) -> Optional[V]:
-        """Like :meth:`get` but without touching the counters."""
-        return self._entries.get(key, default)
-
-    @property
-    def raw_getter(self):
-        """Bound ``dict.get`` over the live entry mapping.
-
-        For hot paths that probe every few microseconds: binding this once
-        removes the attribute chase and wrapper frame of :meth:`peek` from
-        each probe.  Misses return ``None`` (uncounted, like ``peek``);
-        writes must still go through :meth:`put` so the bound stays
-        enforced.  The binding stays valid for the memo's lifetime —
-        :meth:`clear` empties the same dict object it points at.
-        """
-        return self._entries.get
-
     def put(self, key: K, value: V) -> None:
         """Insert *key* → *value*, evicting the oldest entry when full."""
         entries = self._entries
@@ -92,14 +72,3 @@ class BoundedMemo(Generic[K, V]):
 
     def __iter__(self) -> Iterator[K]:
         return iter(self._entries)
-
-    def items(self) -> Iterator[Tuple[K, V]]:
-        return iter(self._entries.items())
-
-    def clear(self, *, reset_counters: bool = False) -> None:
-        """Drop all entries; optionally zero the counters too."""
-        self._entries.clear()
-        if reset_counters:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0

@@ -76,7 +76,6 @@ from .engine.registry import (
 )
 from .ise.pipeline import BlockProfile, identify_instruction_set_extension
 from .ise.selection import SelectionConfig
-from .memo.insearch import INSEARCH_ENV, set_insearch_enabled
 from .memo.store import ResultStore
 from .obs import runtime as obs_runtime
 from .obs.export import read_trace_file, write_trace_file
@@ -131,12 +130,6 @@ def _add_engine_arguments(
         "--progress",
         action="store_true",
         help="print per-block status to stderr as each block finishes",
-    )
-    parser.add_argument(
-        "--no-insearch-memo",
-        action="store_true",
-        help="disable the in-search memo (repro.memo.insearch) for this run "
-        f"— equivalent to setting ${INSEARCH_ENV}; useful for A/B timing",
     )
 
 
@@ -1470,11 +1463,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro-enum`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_insearch_memo", False):
-        # Both switches: the module flag covers this process, the env var
-        # covers enumeration workers spawned by --jobs.
-        set_insearch_enabled(False)
-        os.environ[INSEARCH_ENV] = "1"
     if getattr(args, "trace_out", None) or getattr(args, "metrics_json", None):
         return _run_observed(args, argv)
     return _dispatch(args)

@@ -38,7 +38,7 @@ measures how much search each rule removes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..dfg.graph import DataFlowGraph
 from ..dfg.reachability import ids_from_mask
@@ -91,28 +91,6 @@ class IncrementalEnumerator:
         self._visited_states: set = set()
         self._tables = self.ctx.contribution_tables
         self._debug_validate = debug_validation_enabled()
-        # In-search memo (repro.memo.insearch): every memoizable hot-path
-        # query dispatches through one bound method, resolved here once —
-        # to the memo view when one is active, straight to the underlying
-        # computation otherwise — so the search itself never branches on
-        # the toggle.  The memo only short-circuits recomputation; the
-        # visited search states are identical either way.
-        view = self.ctx.insearch_view()
-        self._insearch = view
-        if view is not None:
-            self._cut_profile = view.cut_profile
-            self._cut_outputs = view.cut_outputs
-            self._between_union = view.between_union
-            self._is_connected = view.is_connected
-            self._cut_depth = view.cut_depth
-            self._seed_ids = view.ids_tuple
-        else:
-            self._cut_profile = self.ctx.reach.cut_profile
-            self._cut_outputs = self.ctx.reach.cut_outputs_mask
-            self._between_union = self._tables.between_union
-            self._is_connected = self._is_connected_raw
-            self._cut_depth = self._cut_depth_raw
-            self._seed_ids = ids_from_mask
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
         # tripping the output-output pruning.
@@ -138,9 +116,6 @@ class IncrementalEnumerator:
         hits_before = reach.forbidden_cache_hits
         misses_before = reach.forbidden_cache_misses
         lt_seconds_before = self.ctx.lt_seconds_performed
-        memo = self._insearch.memo if self._insearch is not None else None
-        if memo is not None:
-            ins_hits_before, ins_misses_before, ins_evictions_before = memo.counters()
         with Stopwatch(self.stats):
             self._pick_output(
                 inputs_mask=0,
@@ -153,11 +128,6 @@ class IncrementalEnumerator:
         self.stats.forbidden_cache_hits = reach.forbidden_cache_hits - hits_before
         self.stats.forbidden_cache_misses = reach.forbidden_cache_misses - misses_before
         self.stats.lt_seconds = self.ctx.lt_seconds_performed - lt_seconds_before
-        if memo is not None:
-            ins_hits, ins_misses, ins_evictions = memo.counters()
-            self.stats.insearch_hits = ins_hits - ins_hits_before
-            self.stats.insearch_misses = ins_misses - ins_misses_before
-            self.stats.insearch_evictions = ins_evictions - ins_evictions_before
         return EnumerationResult(
             cuts=list(self._found.values()),
             stats=self.stats,
@@ -179,13 +149,14 @@ class IncrementalEnumerator:
         self.stats.pick_output_calls += 1
         ctx = self.ctx
         reach = ctx.reach
+        tables = self._tables
         comparable = self._postdom_comparable
 
         has_internal_outputs = False
         require_connected = ctx.constraints.connected_only
         if outputs_mask and (self.pruning.connected_recovery or require_connected):
             effective = body_mask & ~inputs_mask & ~ctx.forbidden_mask
-            current_outputs = self._cut_outputs(effective)
+            current_outputs = reach.cut_outputs_mask(effective)
             has_internal_outputs = (
                 current_outputs.bit_count() > outputs_mask.bit_count()
             )
@@ -217,7 +188,7 @@ class IncrementalEnumerator:
 
             new_outputs_mask = outputs_mask | (1 << output)
             if inputs_mask:
-                new_body_mask = body_mask | self._between_union(inputs_mask, output)
+                new_body_mask = body_mask | tables.between_union(inputs_mask, output)
             else:
                 new_body_mask = body_mask
 
@@ -289,7 +260,8 @@ class IncrementalEnumerator:
         # input for w"); during this reproduction that bound turned out to
         # exclude a small number of valid cuts — the ones in which the
         # vertex with the forbidden predecessor is itself promoted to a cut
-        # input — and it is therefore not applied; see EXPERIMENTS.md.
+        # input — and it is therefore not applied; see "Completeness" in the
+        # README.
         #
         # Input-input pruning: chosen seed-set members may not postdominate
         # one another (one AND against the comparability row).
@@ -342,21 +314,13 @@ class IncrementalEnumerator:
                     nout_left,
                 )
 
-    def _is_connected_raw(self, mask: int, outputs_mask: int) -> bool:
-        """Memo-off binding of the Definition-4 connectivity check."""
-        return _is_connected_mask(self.ctx, mask, outputs_mask)
-
-    def _cut_depth_raw(self, mask: int) -> int:
-        """Memo-off binding of the longest-path depth computation."""
-        return _cut_depth(self.ctx, mask)
-
-    def _seed_candidates(self, output: int, inputs_mask: int) -> Sequence[int]:
+    def _seed_candidates(self, output: int, inputs_mask: int) -> List[int]:
         """Ancestors of *output* usable as additional seed-set members."""
         ctx = self.ctx
         ancestors = ctx.ancestors_mask(output)
         ancestors &= ~(1 << ctx.source)
         ancestors &= ~inputs_mask
-        return self._seed_ids(ancestors)
+        return ids_from_mask(ancestors)
 
     # ------------------------------------------------------------------ #
     # Pruning predicates (Section 5.3)
@@ -430,7 +394,7 @@ class IncrementalEnumerator:
         # One pass over the candidate's set bits yields I(S), O(S) and the
         # convexity verdict; the definitional re-derivation runs only under
         # REPRO_DEBUG_VALIDITY (see below).
-        cut_inputs, actual_outputs, convex = self._cut_profile(effective)
+        cut_inputs, actual_outputs, convex = ctx.reach.cut_profile(effective)
         if self.pruning.output_output:
             # Relaxed acceptance: internal outputs are allowed as long as the
             # total stays within the budget.
@@ -449,9 +413,9 @@ class IncrementalEnumerator:
         )
         constraints = ctx.constraints
         if valid and constraints.connected_only:
-            valid = self._is_connected(effective, actual_outputs)
+            valid = _is_connected_mask(ctx, effective, actual_outputs)
         if valid and constraints.max_depth is not None:
-            valid = self._cut_depth(effective) <= constraints.max_depth
+            valid = _cut_depth(ctx, effective) <= constraints.max_depth
         if self._debug_validate:
             report = check_cut_mask(ctx, effective)
             assert report.valid == valid, (

@@ -35,12 +35,20 @@ class EnumerationStats:
     #: (bounded; see repro.dfg.reachability.FORBIDDEN_BETWEEN_CACHE_LIMIT).
     forbidden_cache_hits: int = 0
     forbidden_cache_misses: int = 0
-    #: Consultation counters of the in-search memo (repro.memo.insearch):
-    #: hits/misses of the per-domain verdict tables plus the entries evicted
-    #: from them while this run was active.  All zero when the memo is off.
-    insearch_hits: int = 0
-    insearch_misses: int = 0
-    insearch_evictions: int = 0
+
+    # The in-search memo is gone, but the frozen perfbench tracer still reads
+    # these three counters; they stay as constant zeros, never serialized.
+    @property
+    def insearch_hits(self) -> int:
+        return 0
+
+    @property
+    def insearch_misses(self) -> int:
+        return 0
+
+    @property
+    def insearch_evictions(self) -> int:
+        return 0
 
     def count_pruned(self, rule: str, amount: int = 1) -> None:
         """Record that *rule* pruned *amount* branches."""
@@ -58,9 +66,6 @@ class EnumerationStats:
         self.lt_seconds += other.lt_seconds
         self.forbidden_cache_hits += other.forbidden_cache_hits
         self.forbidden_cache_misses += other.forbidden_cache_misses
-        self.insearch_hits += other.insearch_hits
-        self.insearch_misses += other.insearch_misses
-        self.insearch_evictions += other.insearch_evictions
         for rule, amount in other.pruned.items():
             self.count_pruned(rule, amount)
 
@@ -82,13 +87,6 @@ class EnumerationStats:
                 "forbidden-path cache: "
                 f"{self.forbidden_cache_hits} hits / "
                 f"{self.forbidden_cache_misses} misses"
-            )
-        if self.insearch_hits or self.insearch_misses:
-            lines.append(
-                "in-search memo      : "
-                f"{self.insearch_hits} hits / "
-                f"{self.insearch_misses} misses / "
-                f"{self.insearch_evictions} evicted"
             )
         for rule in sorted(self.pruned):
             lines.append(f"pruned[{rule}]: {self.pruned[rule]}")

@@ -67,14 +67,16 @@ the algorithm is caught and recorded as ``item.error`` in the same
 ``"TypeName: message"`` form, so a block fails identically under ``jobs=1``
 and ``jobs=2``.
 
-When a :class:`~repro.memo.store.ResultStore` is attached, the runner
-consults it *before* dispatching work — blocks whose isomorphism class was
-already enumerated (under the same algorithm and request fingerprint) are
-rebuilt from the stored canonical cut masks and marked ``cached`` — and
-writes freshly computed results back chunk by chunk as they complete (one
+Every run deduplicates whole blocks.  Each block is canonicalized
+(:func:`~repro.memo.canon.canonical_form`) and grouped with its isomorphs:
+one leader per class is enumerated, and the other members are served from
+the leader's result, their cut masks remapped through the canonical
+permutations and the items marked ``cached`` and ``deduplicated``.  An
+attached :class:`~repro.memo.store.ResultStore` adds hits across runs: it is
+consulted before a leader is dispatched, and fresh results are written back
+chunk by chunk as they complete (one
 :meth:`~repro.memo.store.ResultStore.put_many` call per finished chunk), so
-a crash in the middle of a suite loses none of the work already finished,
-and later runs (and runs on isomorphic blocks) become cache hits.
+a crash in the middle of a suite loses none of the work already finished.
 
 The pool is owned by the runner and survives across :meth:`BatchRunner.run`
 calls, so repeated runs (sweeps, benchmark loops, services) pay the worker
@@ -118,7 +120,6 @@ from ..core.stats import EnumerationResult, EnumerationStats
 from ..dfg.graph import DataFlowGraph
 from ..dfg.serialization import graph_from_wire, graph_to_wire
 from ..memo.canon import CanonicalForm, canonical_form
-from ..memo.insearch import InSearchMemo
 from ..memo.store import ResultStore, StoredResult, request_fingerprint
 from ..obs import runtime as obs
 from ..workloads.suite import WorkloadSuite
@@ -193,12 +194,7 @@ class ContextCache:
     context while a renamed or edited graph does not.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 64,
-        side: str = "parent",
-        insearch_memo: Optional[InSearchMemo] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = 64, side: str = "parent") -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
@@ -207,11 +203,6 @@ class ContextCache:
         self.side = side
         self.hits = 0
         self.misses = 0
-        #: The in-search memo shared by every context this cache serves.  It
-        #: outlives the contexts themselves: a context evicted and rebuilt
-        #: re-attaches to the same memo, and same-shape blocks land in the
-        #: same memo domain regardless of which context they ran under.
-        self.insearch = insearch_memo or InSearchMemo()
         self._entries: "OrderedDict[Tuple[str, Constraints], EnumerationContext]" = (
             OrderedDict()
         )
@@ -238,12 +229,10 @@ class ContextCache:
             self.hits += 1
             obs.metrics().inc("context_cache.hits_total", side=self.side)
             self._entries.move_to_end(key)
-            cached.insearch_memo = self.insearch
             return cached
         self.misses += 1
         obs.metrics().inc("context_cache.misses_total", side=self.side)
         context = EnumerationContext.build(graph, constraints)
-        context.insearch_memo = self.insearch
         self._entries[key] = context
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -266,11 +255,11 @@ class BatchItem:
     elapsed_seconds: float = 0.0
     timed_out: bool = False
     error: Optional[str] = None
-    #: ``True`` when the result was rebuilt from the memoization store
-    #: instead of being enumerated in this run.
+    #: ``True`` when the result was not enumerated for this block: it was
+    #: rebuilt from the memoization store or from an isomorphic leader.
     cached: bool = False
-    #: ``True`` when the result was remapped from an isomorphic block's run
-    #: (see :func:`repro.memo.dedup.enumerate_deduplicated`).
+    #: ``True`` when the result was remapped from an isomorphic leader
+    #: enumerated earlier in the same run (``cached`` is set too).
     deduplicated: bool = False
 
     @property
@@ -345,11 +334,7 @@ class BatchReport:
 
 
 def normalize_blocks(blocks: BatchInput) -> List[BatchItem]:
-    """Turn any accepted batch input into an ordered :class:`BatchItem` list.
-
-    Shared by :class:`BatchRunner` and the isomorphism-deduplication driver
-    (:func:`repro.memo.dedup.enumerate_deduplicated`).
-    """
+    """Turn any accepted batch input into an ordered :class:`BatchItem` list."""
     if isinstance(blocks, WorkloadSuite):
         pairs = [(graph, 1.0) for graph in blocks]
     else:
@@ -616,7 +601,8 @@ class BatchRunner:
         Optional persistent :class:`~repro.memo.store.ResultStore`.  Blocks
         with a stored result (same canonical graph hash, algorithm and
         request fingerprint) skip enumeration entirely; fresh results are
-        written back chunk by chunk as they complete.
+        written back chunk by chunk as they complete.  Isomorphic blocks
+        within one run are deduplicated with or without a store.
     mp_context:
         Optional :mod:`multiprocessing` context for the worker pool (e.g.
         ``multiprocessing.get_context("fork")``); the platform default is
@@ -751,21 +737,17 @@ class BatchRunner:
     def run(
         self,
         blocks: BatchInput,
-        canonical_forms: Optional[List[CanonicalForm]] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> BatchReport:
         """Enumerate every block and return the input-ordered report.
 
         Implemented on :meth:`iter_run`: the stream is drained to completion
         and the items — the same objects the generator yields — are restored
-        to input order.  *canonical_forms* (store runs only) supplies
-        pre-computed canonical forms, one per block in input order, to skip
-        re-canonicalization; they must have been computed with this runner's
-        constraints.  *progress* is invoked as ``progress(item, completed,
+        to input order.  *progress* is invoked as ``progress(item, completed,
         total)`` after every finished block.
         """
         items = sorted(
-            self.iter_run(blocks, canonical_forms=canonical_forms, progress=progress),
+            self.iter_run(blocks, progress=progress),
             key=lambda item: item.index,
         )
         return BatchReport(
@@ -778,14 +760,14 @@ class BatchRunner:
     def iter_run(
         self,
         blocks: BatchInput,
-        canonical_forms: Optional[List[CanonicalForm]] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> Iterator[BatchItem]:
         """Enumerate *blocks*, yielding each :class:`BatchItem` as it finishes.
 
         Items arrive in completion order (``item.index`` carries the input
         position); every input block is yielded exactly once — successes,
-        cache hits, errors and timeouts alike.  With a store attached, each
+        cache hits, deduplicated isomorphs, errors and timeouts alike.  A
+        follower is yielded right after its leader.  With a store attached, each
         fresh result is written back *before* the item is yielded, so a
         consumer crash mid-suite never loses completed work.  *progress*, if
         given, is called as ``progress(item, completed, total)`` right before
@@ -813,7 +795,7 @@ class BatchRunner:
             jobs=self.jobs,
             blocks=total,
         ):
-            for item in self._iter_resolved(algorithm, pruning, items, canonical_forms):
+            for item in self._iter_resolved(algorithm, pruning, items):
                 completed += 1
                 if observing:
                     self._record_item_metrics(item)
@@ -825,12 +807,15 @@ class BatchRunner:
         """Fold one finished block into the active metrics registry.
 
         Runs in the parent only, on the single funnel every item passes
-        through (sequential, pool and store-hit paths alike), so counters
-        are absorbed exactly once per block regardless of chunk re-splits,
-        crash retries or caching.  Cached items contribute their status
-        only: their stats describe the original (already-counted) run.
+        through (sequential, pool, store-hit and dedup paths alike), so
+        counters are absorbed exactly once per block regardless of chunk
+        re-splits, crash retries or caching.  Cached items contribute their
+        status only: their stats describe the original (already-counted)
+        run.
         """
         metrics = obs.metrics()
+        if item.deduplicated:
+            metrics.inc("enum.blocks_deduplicated_total", algorithm=self.algorithm)
         if item.cached:
             status = "cached"
         elif item.result is not None:
@@ -852,62 +837,57 @@ class BatchRunner:
         metrics.inc("enum.pick_input_calls_total", stats.pick_input_calls)
         metrics.inc("enum.forbidden_cache_hits_total", stats.forbidden_cache_hits)
         metrics.inc("enum.forbidden_cache_misses_total", stats.forbidden_cache_misses)
-        metrics.inc("enum.insearch_hits_total", stats.insearch_hits)
-        metrics.inc("enum.insearch_misses_total", stats.insearch_misses)
-        metrics.inc("enum.insearch_evictions_total", stats.insearch_evictions)
         for rule, amount in stats.pruned.items():
             metrics.inc("enum.pruned_total", amount, rule=rule)
         metrics.observe("enum.block_seconds", stats.elapsed_seconds)
 
     # ------------------------------------------------------------------ #
-    # Store-aware streaming
+    # Whole-block dedup and the store
     # ------------------------------------------------------------------ #
     def _iter_resolved(
         self,
         algorithm,
         pruning: Optional[PruningConfig],
         items: List[BatchItem],
-        canonical_forms: Optional[List[CanonicalForm]],
     ) -> Iterator[BatchItem]:
-        """Stream *items* through the store front and the scheduler."""
-        if self.store is None:
-            yield from self._stream(algorithm, pruning, items)
-            return
+        """Stream *items* through whole-block dedup, the store and the scheduler.
 
+        Every block is canonicalized and keyed like a store entry.  The
+        first block of each key is its class leader and is dispatched (a
+        store hit serves it instead); later blocks of the key wait for the
+        leader and are served from its result as soon as it finishes, or
+        straight away when it already has.  Followers of a failed leader
+        are dispatched together in one trailing round (deferring them one
+        by one would serialize a parallel run).
+
+        Resolution is *lazy*: the scheduler pulls blocks from this source as
+        its submission window frees up, so canonicalization and store probes
+        interleave with enumeration instead of forming an O(N) barrier in
+        front of a large suite.
+        """
         forms: Dict[int, CanonicalForm] = {}
-        if canonical_forms is not None:
-            if len(canonical_forms) != len(items):
-                raise ValueError(
-                    f"expected {len(items)} canonical form(s), "
-                    f"got {len(canonical_forms)}"
-                )
-            forms.update(enumerate(canonical_forms))
-
-        # Within one run, isomorphic duplicates ride on the first copy of
-        # their class: enumerate one leader per store key; as each leader
-        # finishes, write it back and serve its followers from the fresh
-        # entry.  Followers of a failed leader are known store misses, so
-        # they are dispatched together in one trailing round (deferring them
-        # one by one would serialize a parallel run).
-        #
-        # Store resolution is *lazy*: the scheduler pulls blocks from this
-        # source as its submission window frees up, so canonicalization and
-        # store probes interleave with enumeration instead of forming an
-        # O(N) barrier in front of a large suite, and workers start on the
-        # first miss while later blocks are still being looked up.
+        keys: Dict[int, str] = {}
+        leaders: Dict[str, BatchItem] = {}  # finished, successful leaders
         followers_by_key: Dict[str, List[BatchItem]] = {}
 
         def classified() -> Iterator[Tuple[BatchItem, bool]]:
+            tracer = obs.tracer()
             for item in items:
-                if not self._resolve_from_store([item], pruning, forms):
-                    yield item, True  # served from the store
-                    continue
-                key = self._store_key(forms[item.index], pruning)
-                if key in followers_by_key:
-                    followers_by_key[key].append(item)
-                else:
-                    followers_by_key[key] = []
-                    yield item, False  # leader: dispatch it
+                with tracer.span("memo.classify", cat="memo", graph=item.graph_name):
+                    start = time.perf_counter()
+                    form = forms[item.index] = canonical_form(item.graph, self.constraints)
+                    key = keys[item.index] = self._store_key(form, pruning)
+                    if key in followers_by_key:
+                        followers_by_key[key].append(item)
+                        continue
+                    if key in leaders:
+                        self._serve_follower(item, leaders[key], forms)
+                        resolved = True
+                    else:
+                        resolved = self._serve_from_store(item, key, form, start)
+                        if not resolved:
+                            followers_by_key[key] = []  # leader: dispatch it
+                yield item, resolved
 
         deferred: List[BatchItem] = []
         for group in self._stream_groups(
@@ -919,18 +899,15 @@ class BatchRunner:
                 yield item
                 if item.cached:
                     continue
-                key = self._store_key(forms[item.index], pruning)
+                key = keys[item.index]
                 waiting = followers_by_key.pop(key, [])
-                if not waiting:
-                    continue
                 if item.result is None:
                     deferred.extend(waiting)
                     continue
-                still_missing = self._resolve_from_store(waiting, pruning, forms)
+                leaders[key] = item
                 for follower in waiting:
-                    if follower.result is not None:
-                        yield follower
-                deferred.extend(still_missing)
+                    self._serve_follower(follower, item, forms)
+                    yield follower
 
         if deferred:
             for group in self._stream_groups(
@@ -942,9 +919,6 @@ class BatchRunner:
                 self._write_back(group, pruning, forms)
                 yield from group
 
-    # ------------------------------------------------------------------ #
-    # Memoization store integration
-    # ------------------------------------------------------------------ #
     def _store_key(self, form: CanonicalForm, pruning: Optional[PruningConfig]) -> str:
         return ResultStore.make_key(
             form.hash,
@@ -952,50 +926,75 @@ class BatchRunner:
             request_fingerprint(self.constraints, pruning),
         )
 
-    def _resolve_from_store(
+    def _serve(
         self,
-        items: List[BatchItem],
-        pruning: Optional[PruningConfig],
-        forms: Dict[int, CanonicalForm],
-    ) -> List[BatchItem]:
-        """Fill items with stored results; return the ones still to enumerate.
+        item: BatchItem,
+        masks: Iterable[int],
+        source: EnumerationResult,
+        start: float,
+    ) -> None:
+        """Fill *item* with cuts rebuilt from *masks* (in its own vertex ids).
+
+        *source* is the result the masks came from; its algorithm label and
+        a copy of its stats carry over.  The stats are copied because the
+        source object is shared (the store's LRU front, or the leader's
+        result) and ``EnumerationStats.merge`` mutates in place.
+        """
+        with obs.tracer().span("memo.serve", cat="memo", graph=item.graph_name):
+            item.context = self.cache.get(item.graph, self.constraints)
+            stats = EnumerationStats()
+            stats.merge(source.stats)
+            item.result = EnumerationResult(
+                cuts=[Cut.from_mask(item.context, mask) for mask in masks],
+                stats=stats,
+                graph_name=item.graph_name,
+                # The label the algorithm itself emitted (it may differ from
+                # the registry name, e.g. "exhaustive-pruned"), so a served
+                # block reports exactly what its leader or the cold run
+                # reported.
+                algorithm=source.algorithm,
+            )
+        item.cached = True
+        item.elapsed_seconds = time.perf_counter() - start
+
+    def _serve_follower(
+        self, item: BatchItem, leader: BatchItem, forms: Dict[int, CanonicalForm]
+    ) -> None:
+        """Serve *item* from its isomorphic *leader*'s result of this run."""
+        start = time.perf_counter()
+        assert leader.result is not None
+        source, target = forms[leader.index], forms[item.index]
+        self._serve(
+            item,
+            (
+                target.from_canonical_mask(source.to_canonical_mask(cut.node_mask()))
+                for cut in leader.result.cuts
+            ),
+            leader.result,
+            start,
+        )
+        item.deduplicated = True
+
+    def _serve_from_store(
+        self, item: BatchItem, key: str, form: CanonicalForm, start: float
+    ) -> bool:
+        """Serve *item* from the store; ``False`` on a miss or without a store.
 
         Stored masks live in the canonical id space, so a hit produced by an
         isomorphic block remaps cleanly onto this block's vertex ids.
         """
-        assert self.store is not None
-        pending: List[BatchItem] = []
-        for item in items:
-            start = time.perf_counter()
-            form = forms.get(item.index)
-            if form is None:
-                form = canonical_form(item.graph, self.constraints)
-                forms[item.index] = form
-            stored = self.store.get(self._store_key(form, pruning))
-            if stored is None:
-                pending.append(item)
-                continue
-            item.context = self.cache.get(item.graph, self.constraints)
-            # Copy the stats: the stored object is shared by the store's LRU
-            # front and every other hit on this key, and EnumerationStats is
-            # mutated in place by merge().
-            stats = EnumerationStats()
-            stats.merge(stored.stats)
-            item.result = EnumerationResult(
-                cuts=[
-                    Cut.from_mask(item.context, form.from_canonical_mask(mask))
-                    for mask in stored.masks
-                ],
-                stats=stats,
-                graph_name=item.graph_name,
-                # The label the algorithm itself emitted (it may differ from
-                # the registry name, e.g. "exhaustive-pruned"), so a warm run
-                # reproduces the cold run's reports byte-for-byte.
-                algorithm=stored.algorithm,
-            )
-            item.cached = True
-            item.elapsed_seconds = time.perf_counter() - start
-        return pending
+        if self.store is None:
+            return False
+        stored = self.store.get(key)
+        if stored is None:
+            return False
+        self._serve(
+            item,
+            (form.from_canonical_mask(mask) for mask in stored.masks),
+            EnumerationResult(stats=stored.stats, algorithm=stored.algorithm),
+            start,
+        )
+        return True
 
     def _write_back(
         self,
@@ -1005,11 +1004,12 @@ class BatchRunner:
     ) -> None:
         """Persist the results enumerated in this run (masks in canonical ids).
 
-        Cache hits and result-less items are skipped; everything else goes
-        to the store in one :meth:`~repro.memo.store.ResultStore.put_many`
-        batch.
+        A no-op without a store.  Cache hits and result-less items are
+        skipped; everything else goes to the store in one
+        :meth:`~repro.memo.store.ResultStore.put_many` batch.
         """
-        assert self.store is not None
+        if self.store is None:
+            return
         fingerprint = request_fingerprint(self.constraints, pruning)
         entries: List[Tuple[str, StoredResult]] = []
         for item in computed:
@@ -1022,7 +1022,7 @@ class BatchRunner:
                     StoredResult(
                         canonical_hash=form.hash,
                         # The result's own label, not the registry name (see
-                        # the reconstruction in _resolve_from_store).
+                        # the reconstruction in _serve).
                         algorithm=item.result.algorithm,
                         fingerprint=fingerprint,
                         masks=[
@@ -1042,23 +1042,6 @@ class BatchRunner:
     # ------------------------------------------------------------------ #
     # Execution paths
     # ------------------------------------------------------------------ #
-    def _stream(
-        self,
-        algorithm,
-        pruning: Optional[PruningConfig],
-        items: List[BatchItem],
-    ) -> Iterator[BatchItem]:
-        """Yield *items* as they finish, sequentially or through the pool."""
-        if not items:
-            return
-        for group in self._stream_groups(
-            algorithm,
-            pruning,
-            ((item, False) for item in items),
-            total_hint=len(items),
-        ):
-            yield from group
-
     def _stream_groups(
         self,
         algorithm,
@@ -1068,8 +1051,8 @@ class BatchRunner:
     ) -> Iterator[List[BatchItem]]:
         """Yield finished blocks in groups from a lazy ``(item, resolved)`` source.
 
-        Already-resolved items (store hits) pass straight through; the rest
-        are enumerated.  A group is the natural completion unit — one
+        Already-resolved items (store hits, deduplicated followers) pass
+        straight through; the rest are enumerated.  A group is the natural completion unit — one
         finished chunk in parallel mode, one block sequentially — and is the
         granularity of store write-backs.  The source is pulled
         incrementally, so store lookups and canonicalization interleave with

@@ -49,8 +49,9 @@ DEFAULT_ALGORITHM = "poly-enum-incremental"
 #: ``all-valid`` algorithms return the identical, complete cut set on every
 #: graph (the equivalence test-suite asserts this); ``paper-enumerable``
 #: algorithms return the input/output-identified subset reachable by the
-#: paper's construction (the two polynomial variants may differ on a few
-#: borderline cuts, see EXPERIMENTS.md); ``connected`` restricts to
+#: paper's construction (the two polynomial variants differ on some cuts,
+#: and both miss cuts the oracle finds: see "Completeness" in the README);
+#: ``connected`` restricts to
 #: connected bodies.  Every algorithm's result is a subset of ``all-valid``.
 SEMANTICS_PAPER = "paper-enumerable"
 SEMANTICS_ALL_VALID = "all-valid"

@@ -1,6 +1,6 @@
 """Canonical-form memoization: recognise repeated blocks, reuse their results.
 
-The repo's first persistence layer.  Three cooperating pieces:
+The repo's first persistence layer.  Two cooperating pieces:
 
 * :mod:`repro.memo.canon` — deterministic canonical labeling of data-flow
   graphs (Weisfeiler–Leman refinement with a backtracking tie-break), giving
@@ -9,19 +9,13 @@ The repo's first persistence layer.  Three cooperating pieces:
 * :mod:`repro.memo.store` — a disk-backed, content-addressed result store
   keyed by ``(canonical hash, algorithm, request fingerprint)``, with a
   versioned JSON entry format, sharded directories, atomic writes and an
-  in-memory LRU front;
-* :mod:`repro.memo.dedup` — isomorphism-class deduplication over a workload:
-  enumerate one representative per class and remap the cut bit masks through
-  the canonical permutations onto every member;
-* :mod:`repro.memo.insearch` — in-search memoization: bounded, domain-sharded
-  tables of cut-validity verdicts and contribution unions keyed on packed
-  subgraph masks, consulted by the enumerators mid-search so repeated local
-  structure (within one block or across same-shape blocks) is a dict probe
-  instead of a recomputation.
+  in-memory LRU front.
 
-The engine's :class:`~repro.engine.batch.BatchRunner` consults a
-:class:`ResultStore` before dispatching work and writes results back
-afterwards; the CLI exposes the store via ``--cache-dir`` and the ``cache``
+The engine's :class:`~repro.engine.batch.BatchRunner` canonicalizes every
+block it runs: one leader per isomorphism class is enumerated and the other
+members are served from its result, remapped through the canonical
+permutations.  An attached :class:`ResultStore` extends that reuse across
+runs; the CLI exposes the store via ``--cache-dir`` and the ``cache``
 sub-command.
 """
 
@@ -31,23 +25,6 @@ from .canon import (
     canonical_form,
     canonical_hash,
     permute_graph,
-)
-from .dedup import (
-    DedupReport,
-    IsoClass,
-    enumerate_deduplicated,
-    group_by_isomorphism,
-    iter_enumerate_deduplicated,
-    remap_masks,
-)
-from .insearch import (
-    INSEARCH_ENV,
-    InSearchMemo,
-    InSearchView,
-    domain_key_for,
-    insearch_disabled,
-    insearch_enabled,
-    set_insearch_enabled,
 )
 from .store import (
     STORE_FORMAT_VERSION,
@@ -65,19 +42,6 @@ __all__ = [
     "canonical_form",
     "canonical_hash",
     "permute_graph",
-    "DedupReport",
-    "IsoClass",
-    "enumerate_deduplicated",
-    "group_by_isomorphism",
-    "iter_enumerate_deduplicated",
-    "remap_masks",
-    "INSEARCH_ENV",
-    "InSearchMemo",
-    "InSearchView",
-    "domain_key_for",
-    "insearch_disabled",
-    "insearch_enabled",
-    "set_insearch_enabled",
     "STORE_FORMAT_VERSION",
     "ResultStore",
     "StoredResult",

@@ -43,8 +43,13 @@ from ..dfg.graph import DataFlowGraph
 
 #: Maximum number of refinement passes the backtracking search may run before
 #: falling back to the identity form.  Ordinary basic blocks (mixed opcodes)
-#: discretise in one or two passes with no branching at all.
-DEFAULT_BACKTRACK_BUDGET = 4096
+#: discretise in a few passes: the most any block of the frontend corpus, the
+#: Fig. 5 mix or ``repetition_suite()`` needs is 30.  The uniform trees of
+#: Figure 4 never finish (their automorphism groups are exponential), so a
+#: larger budget only delays their identity fallback: ``tree_dfg(5)`` gives
+#: up after ~11 ms at 64 passes but ~620 ms at 4096 (CPython 3.11, 2-vCPU
+#: x86-64 VM).
+DEFAULT_BACKTRACK_BUDGET = 64
 
 #: One seed color: (opcode value, effective forbidden, live-out flag).
 Seed = Tuple[str, bool, bool]

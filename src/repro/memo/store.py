@@ -84,9 +84,6 @@ def stats_to_dict(stats: EnumerationStats) -> Dict[str, object]:
         "lt_seconds": stats.lt_seconds,
         "forbidden_cache_hits": stats.forbidden_cache_hits,
         "forbidden_cache_misses": stats.forbidden_cache_misses,
-        "insearch_hits": stats.insearch_hits,
-        "insearch_misses": stats.insearch_misses,
-        "insearch_evictions": stats.insearch_evictions,
     }
 
 
@@ -104,9 +101,6 @@ def stats_from_dict(data: Dict[str, object]) -> EnumerationStats:
         lt_seconds=float(data.get("lt_seconds", 0.0)),
         forbidden_cache_hits=int(data.get("forbidden_cache_hits", 0)),
         forbidden_cache_misses=int(data.get("forbidden_cache_misses", 0)),
-        insearch_hits=int(data.get("insearch_hits", 0)),
-        insearch_misses=int(data.get("insearch_misses", 0)),
-        insearch_evictions=int(data.get("insearch_evictions", 0)),
     )
 
 

@@ -249,6 +249,10 @@ def format_run_report(
         lines.append(
             f"  cuts found           : {int(totals.get('enum.cuts_found_total', 0))}"
         )
+        lines.append(
+            f"  duplicate cuts       : {int(totals.get('enum.duplicates_total', 0))}"
+            " (search states reached more than once)"
+        )
         lt_calls = totals.get("enum.lt_calls_total", 0)
         lt_seconds = totals.get("enum.lt_seconds_total", 0.0)
         line = f"  Lengauer-Tarjan      : {int(lt_calls)} dominator-kernel run(s)"
@@ -277,20 +281,14 @@ def format_run_report(
         "store.misses_total", 0
     )
     cache_sides = counter_by_label(document, "context_cache.hits_total", "side")
-    insearch_lookups = totals.get("enum.insearch_hits_total", 0) + totals.get(
-        "enum.insearch_misses_total", 0
-    )
-    if store_lookups or cache_sides or insearch_lookups:
+    deduplicated = totals.get("enum.blocks_deduplicated_total", 0)
+    if store_lookups or cache_sides or deduplicated:
         lines.append("")
         lines.append("memoization:")
-        if insearch_lookups:
+        if deduplicated:
             lines.append(
-                "  in-search memo       : "
-                + _rate(
-                    totals.get("enum.insearch_hits_total", 0),
-                    totals.get("enum.insearch_misses_total", 0),
-                )
-                + f", {int(totals.get('enum.insearch_evictions_total', 0))} eviction(s)"
+                f"  whole-block dedup    : {int(deduplicated)} block(s) served "
+                "from an isomorphic leader"
             )
         if store_lookups:
             lines.append(

@@ -1,21 +1,22 @@
-"""Repetition-heavy synthetic blocks: the in-search memo's target workload.
+"""Repetition-heavy synthetic blocks: tiled idioms in renamed copies.
 
-The frontend corpus that motivates :mod:`repro.memo.insearch` is dominated
-by *tiled* computation — the same 4–8-operation idiom (a multiply-accumulate
-step, an unpack/mask sequence, a rotate-xor mixing round) stamped out many
-times per basic block by loop unrolling and vectorization.  The generic
-:mod:`repro.workloads.synthetic` generator draws every operation
-independently and therefore almost never produces that shape, so this module
-provides it deliberately:
+Compiler output is dominated by *tiled* computation — the same
+4–8-operation idiom (a multiply-accumulate step, an unpack/mask sequence, a
+rotate-xor mixing round) stamped out many times per basic block by loop
+unrolling and vectorization, and whole blocks that repeat under new names.
+The generic :mod:`repro.workloads.synthetic` generator draws every
+operation independently and therefore almost never produces that shape, so
+this module provides it deliberately:
 
 * :func:`generate_repetition_block` tiles one fixed idiom ``repetitions``
   times into a single block, chaining consecutive tiles through a
   carried-accumulator edge (like an unrolled reduction loop) so the block is
   connected but every tile's local wiring is identical;
 * :func:`repetition_suite` builds a whole :class:`WorkloadSuite` of such
-  blocks — several idioms, several copies per idiom with *distinct names* —
-  which exercises both memo axes at once: repeated structure inside each
-  block and repeated block shapes across the suite.
+  blocks — several idioms, several copies per idiom with *distinct names*.
+  The copies are isomorphic, so :class:`~repro.engine.batch.BatchRunner`'s
+  whole-block deduplication enumerates one block per idiom and serves the
+  other copies from it.
 
 Blocks are deterministic functions of their parameters (no randomness), so
 benchmark runs are exactly reproducible.
@@ -141,10 +142,8 @@ def repetition_suite(
 ) -> "WorkloadSuite":
     """A suite of tiled blocks: *copies_per_idiom* renamed copies per idiom.
 
-    The copies are structurally identical and differ only in name, the
-    cross-block shape the in-search memo's domain sharding recognizes (and
-    whole-block canonicalization also dedups — deliberately, so benchmarks
-    can contrast the two layers on the same input).
+    The copies are structurally identical and differ only in name, so
+    whole-block deduplication enumerates one copy per idiom.
     """
     from .suite import WorkloadSuite
 

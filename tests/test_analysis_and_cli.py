@@ -54,8 +54,8 @@ class TestComparison:
         assert len(rows) == len(tiny_suite)
         for row in rows:
             assert row["speed_ratio"] > 0
-            # The exhaustive baseline is complete; the polynomial algorithm may
-            # legitimately report slightly fewer cuts (see EXPERIMENTS.md).
+            # The exhaustive baseline is complete; the polynomial algorithm
+            # misses some cuts (see "Completeness" in the README).
             assert row["poly-enum-incremental_cuts"] <= row["exhaustive_cuts"]
 
     def test_custom_algorithm_entry(self, tiny_suite):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -13,20 +14,21 @@ from repro.core.stats import EnumerationStats
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.serialization import graph_from_dict, graph_to_dict
 from repro.engine.batch import BatchRunner
+from repro.frontend.corpus import build_corpus_suite
 from repro.memo import (
+    DEFAULT_BACKTRACK_BUDGET,
     ResultStore,
     StoredResult,
+    canon,
     canonical_form,
     canonical_hash,
-    enumerate_deduplicated,
-    group_by_isomorphism,
     permute_graph,
-    remap_masks,
     request_fingerprint,
     stats_from_dict,
     stats_to_dict,
 )
 from repro.memo.store import STORE_FORMAT_VERSION
+from repro.workloads import all_kernels, repetition_suite, tree_dfg
 from repro.workloads.kernels import build_kernel
 from repro.workloads.synthetic import SyntheticBlockSpec, generate_basic_block
 
@@ -44,6 +46,13 @@ def _random_graphs():
     graphs.append(build_kernel("crc32_step"))
     graphs.append(build_kernel("bitcount"))
     return graphs
+
+
+def _cut_keys(result):
+    return sorted(
+        (cut.sorted_nodes(), tuple(sorted(cut.inputs)), tuple(sorted(cut.outputs)))
+        for cut in result.cuts
+    )
 
 
 def _shuffled(graph, seed, name=None):
@@ -78,7 +87,10 @@ class TestCanonicalForm:
             for seed in (5, 6):
                 permuted, _ = _shuffled(graph, seed)
                 form = canonical_form(permuted, CONSTRAINTS)
-                remapped = set(remap_masks(reference_masks, reference_form, form))
+                remapped = {
+                    form.from_canonical_mask(reference_form.to_canonical_mask(mask))
+                    for mask in reference_masks
+                }
                 direct = {
                     cut.node_mask()
                     for cut in enumerate_cuts(permuted, CONSTRAINTS).cuts
@@ -143,6 +155,43 @@ class TestCanonicalForm:
             assert form.hash == again.hash
             assert form.permutation == tuple(range(graph.num_nodes))
             assert form.hash != canonical_form(graph).hash
+
+    def test_default_budget_completes_every_workload_block(self):
+        """Corpus, Fig. 5 mix and tiled idioms all get a true canonical form,
+        so the runner's whole-block dedup merges every isomorph among them."""
+        fig5_mix = [
+            generate_basic_block(
+                SyntheticBlockSpec(
+                    num_operations=size,
+                    num_external_inputs=max(2, min(8, size // 6 + 2)),
+                    seed=2007 + index,
+                )
+            )
+            for index, size in enumerate(10 + i * 30 // 23 for i in range(24))
+        ]
+        blocks = (
+            list(build_corpus_suite(profile=False))
+            + fig5_mix
+            + all_kernels()
+            + list(repetition_suite())
+        )
+        for graph in blocks:
+            assert canonical_form(graph, CONSTRAINTS).complete, graph.name
+
+    def test_symmetric_tree_gives_up_within_the_default_budget(self, monkeypatch):
+        """The Fig. 4 tree falls back to the identity form after at most
+        DEFAULT_BACKTRACK_BUDGET branch refinements (plus the initial one)."""
+        calls = []
+        refine = canon._refine
+
+        def counting(*args):
+            calls.append(1)
+            return refine(*args)
+
+        monkeypatch.setattr(canon, "_refine", counting)
+        form = canonical_form(tree_dfg(5), CONSTRAINTS)
+        assert not form.complete
+        assert len(calls) <= DEFAULT_BACKTRACK_BUDGET + 1
 
     def test_permute_graph_rejects_non_permutation(self):
         graph = build_kernel("bitcount")
@@ -246,6 +295,17 @@ class TestResultStore:
         stats.count_pruned("output_output", 4)
         rebuilt = stats_from_dict(stats_to_dict(stats))
         assert rebuilt == stats
+
+    def test_entries_with_retired_memo_counters_still_load(self):
+        """Entries written while the in-search memo existed carry its three
+        counters; they load, and the counters now read as constant zeros."""
+        data = stats_to_dict(EnumerationStats(cuts_found=2))
+        assert not any(key.startswith("insearch_") for key in data)
+        data.update(insearch_hits=7, insearch_misses=5, insearch_evictions=1)
+        rebuilt = stats_from_dict(data)
+        assert rebuilt.cuts_found == 2
+        assert (rebuilt.insearch_hits, rebuilt.insearch_misses, rebuilt.insearch_evictions) == (0, 0, 0)
+        assert "insearch_hits" not in {f.name for f in dataclasses.fields(EnumerationStats)}
 
     def test_request_fingerprint_sensitivity(self):
         base = request_fingerprint(CONSTRAINTS)
@@ -371,14 +431,6 @@ class TestBatchRunnerStore:
         ).run(blocks)
         assert all(not item.ok and item.error for item in report.items)
 
-    def test_run_rejects_mismatched_canonical_forms(self, tmp_path):
-        graph = build_kernel("bitcount")
-        runner = BatchRunner(
-            constraints=CONSTRAINTS, store=ResultStore(tmp_path / "c")
-        )
-        with pytest.raises(ValueError, match="canonical form"):
-            runner.run([graph], canonical_forms=[])
-
     def test_parallel_run_uses_and_fills_the_store(self, tmp_path):
         graphs = [
             generate_basic_block(SyntheticBlockSpec(num_operations=12, seed=s))
@@ -396,11 +448,11 @@ class TestBatchRunnerStore:
 
 
 # --------------------------------------------------------------------------- #
-# dedup
+# whole-block dedup (every BatchRunner run)
 # --------------------------------------------------------------------------- #
 class TestDedup:
     def _duplicated_suite(self):
-        """Blocks with duplicated and permuted copies (distinct names)."""
+        """Two classes of three: a base, a renamed copy, a relabeled isomorph."""
         bases = [
             build_kernel("crc32_step"),
             generate_basic_block(SyntheticBlockSpec(num_operations=14, seed=9)),
@@ -415,23 +467,74 @@ class TestDedup:
         return blocks
 
     def test_grouping(self):
-        blocks = self._duplicated_suite()
-        classes, forms = group_by_isomorphism(blocks, CONSTRAINTS)
-        assert len(forms) == len(blocks)
-        assert len(classes) == 2
-        assert sorted(len(cls.members) for cls in classes) == [3, 3]
+        """One leader per isomorphism class, the rest served as followers."""
+        report = BatchRunner(constraints=CONSTRAINTS).run(self._duplicated_suite())
+        assert [item.deduplicated for item in report.items] == [
+            False, True, True, False, True, True,
+        ]
+        assert all(item.cached == item.deduplicated for item in report.items)
 
-    def test_dedup_matches_direct_enumeration(self):
+    def test_dedup_matches_direct_enumeration(self, tmp_path):
+        """Relabeled isomorphs get cut sets bit-identical to direct
+        enumeration, sequentially and through the pool, with and without a
+        store."""
         blocks = self._duplicated_suite()
-        report = enumerate_deduplicated(blocks, constraints=CONSTRAINTS)
-        assert report.num_blocks == len(blocks)
-        assert report.num_classes == 2
-        assert report.saved_runs == len(blocks) - 2
-        for item in report.items:
-            direct = enumerate_cuts(item.graph, CONSTRAINTS)
-            assert item.result.node_sets() == direct.node_sets()
-        flags = [item.deduplicated for item in report.items]
-        assert flags.count(False) == 2  # one representative per class
+        direct = [enumerate_cuts(graph, CONSTRAINTS) for graph in blocks]
+        for jobs in (1, 2):
+            for store in (None, ResultStore(tmp_path / f"store{jobs}")):
+                with BatchRunner(constraints=CONSTRAINTS, jobs=jobs, store=store) as runner:
+                    report = runner.run(blocks)
+                for item, reference in zip(report.items, direct):
+                    assert item.ok
+                    assert _cut_keys(item.result) == _cut_keys(reference), (
+                        jobs, store is not None, item.graph_name,
+                    )
+                    assert item.result.algorithm == reference.algorithm
+                assert sum(item.deduplicated for item in report.items) == 4
+
+    def test_followers_are_flagged_cached_and_copy_leader_stats(self):
+        blocks = self._duplicated_suite()[:3]
+        report = BatchRunner(constraints=CONSTRAINTS).run(blocks)
+        leader, *followers = report.items
+        assert not leader.cached and not leader.deduplicated
+        for follower in followers:
+            assert follower.cached and follower.deduplicated
+            assert follower.result.graph_name == follower.graph_name
+            assert follower.result.stats is not leader.result.stats
+            assert follower.result.stats.cuts_found == leader.result.stats.cuts_found
+            assert all(cut.context is follower.context for cut in follower.result.cuts)
+        assert report.total_stats().cuts_found == 3 * leader.result.stats.cuts_found
+
+    def test_followers_of_an_erroring_leader_are_yielded_once(self):
+        big = generate_basic_block(SyntheticBlockSpec(num_operations=40, seed=1))
+        permuted, _ = _shuffled(big, 3)
+        blocks = [big, big.copy(name="big_copy"), permuted, build_kernel("bitcount")]
+        for jobs in (1, 2):
+            with BatchRunner(
+                algorithm="brute-force", constraints=CONSTRAINTS, jobs=jobs
+            ) as runner:
+                items = list(runner.iter_run(blocks))
+            assert sorted(item.index for item in items) == [0, 1, 2, 3]
+            by_index = {item.index: item for item in items}
+            for index in (0, 1, 2):
+                assert not by_index[index].ok and by_index[index].error
+                assert not by_index[index].deduplicated
+            assert by_index[3].ok
+
+    def test_dedup_with_store(self, tmp_path):
+        blocks = self._duplicated_suite()
+        store = ResultStore(tmp_path / "c")
+        cold = BatchRunner(constraints=CONSTRAINTS, store=store).run(blocks)
+        assert store.stats.writes == 2  # one entry per class
+        assert sum(item.deduplicated for item in cold.items) == 4
+        # A second run over the same workload serves every block from the
+        # store: nothing is enumerated, so there is no leader to ride on.
+        warm_store = ResultStore(tmp_path / "c")
+        again = BatchRunner(constraints=CONSTRAINTS, store=warm_store).run(blocks)
+        assert all(item.cached and not item.deduplicated for item in again.items)
+        assert warm_store.stats.hits == len(blocks)
+        for cold_item, warm_item in zip(cold.items, again.items):
+            assert warm_item.result.node_sets() == cold_item.result.node_sets()
 
     def test_warm_ise_selection_matches_uncached_across_isomorphs(self, tmp_path):
         """Instruction selection must not depend on cache history: a block
@@ -459,27 +562,9 @@ class TestDedup:
         ]
         assert cached.application_speedup == direct.application_speedup
 
-    def test_dedup_with_store(self, tmp_path):
-        blocks = self._duplicated_suite()
-        store = ResultStore(tmp_path / "c")
-        enumerate_deduplicated(blocks, constraints=CONSTRAINTS, store=store)
-        assert store.stats.writes == 2
-        # A second dedup run over the same workload is all cache hits.
-        again = enumerate_deduplicated(
-            blocks, constraints=CONSTRAINTS, store=ResultStore(tmp_path / "c")
-        )
-        representatives = [item for item in again.items if not item.deduplicated]
-        assert all(item.cached for item in representatives)
-
-    def test_remap_refuses_cross_class(self):
-        first = canonical_form(build_kernel("crc32_step"))
-        second = canonical_form(build_kernel("bitcount"))
-        with pytest.raises(ValueError, match="isomorphism class"):
-            remap_masks([1], first, second)
-
     def test_empty_workload(self):
-        report = enumerate_deduplicated([], constraints=CONSTRAINTS)
-        assert report.num_blocks == 0
+        report = BatchRunner(constraints=CONSTRAINTS).run([])
+        assert len(report) == 0
         assert report.summary()
 
 

@@ -26,6 +26,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Tracer,
+    format_run_report,
     load_metrics,
     read_trace_file,
     runtime as obs_runtime,
@@ -294,6 +295,23 @@ class TestEngineIntegration:
         assert len(worker_spans) == len(obs_suite)
         assert all(r["pid"] != os.getpid() for r in worker_spans)
         assert validate_trace_records(recorder.records) == []
+
+    def test_dedup_and_duplicates_reach_metrics_and_report(self):
+        registry, _ = obs_runtime.activate()
+        base = build_kernel("crc32_step")
+        blocks = [base, base.copy(name="crc_copy"), base.copy(name="crc_copy2")]
+        report = BatchRunner().run(blocks)
+        assert registry.counter(
+            "enum.blocks_deduplicated_total", algorithm=report.algorithm
+        ) == 2
+        assert registry.counter(
+            "enum.blocks_total", status="cached", algorithm=report.algorithm
+        ) == 2
+        duplicates = report.items[0].result.stats.duplicates
+        assert registry.counter("enum.duplicates_total") == duplicates
+        text = format_run_report(registry.to_dict(meta={"command": "test"}))
+        assert f"duplicate cuts       : {duplicates}" in text
+        assert "whole-block dedup    : 2 block(s)" in text
 
     @pytest.mark.parametrize("chunk_size", [1, 3, "auto"])
     def test_stats_parity_sequential_vs_pool(self, obs_suite, chunk_size):

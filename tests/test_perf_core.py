@@ -25,6 +25,7 @@ import random
 import pytest
 
 from repro.baselines.legacy_incremental import enumerate_cuts_legacy
+from repro.caching import BoundedMemo
 from repro.core import Constraints
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
@@ -41,6 +42,7 @@ from repro.workloads import (
     SyntheticBlockSpec,
     generate_basic_block,
     inverted_tree_dfg,
+    repetition_suite,
     tree_dfg,
 )
 from tests.conftest import make_random_dag
@@ -130,6 +132,16 @@ class TestOptimizedEnumeratorBitIdentity:
         # they differ on borderline cuts — a pre-existing, documented
         # property, not something this PR may change).
         assert basic_agreements >= min_graphs // 5
+
+    def test_tiled_idiom_blocks_bit_identical_across_prunings(self):
+        """The hoisted hot loops on repetition-heavy blocks: every pruning
+        variant reports exactly the frozen snapshot's cuts."""
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        for graph in repetition_suite(copies_per_idiom=2, repetitions=3):
+            for pruning in PRUNING_VARIANTS:
+                keys = _cut_keys(enumerate_cuts(graph, constraints, pruning=pruning))
+                legacy = enumerate_cuts_legacy(graph, constraints, pruning=pruning)
+                assert keys == _cut_keys(legacy), (graph.name, pruning)
 
     def test_debug_validity_cross_check_runs(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEBUG_VALIDITY", "1")
@@ -248,6 +260,16 @@ class TestBoundedForbiddenBetweenCache:
         before = index.forbidden_between_count(*resident)
         assert index.forbidden_cache_hits == 1
         assert index.forbidden_between_count(*resident) == before
+
+    def test_bounded_memo_evicts_oldest_insertion(self):
+        memo: BoundedMemo[int, int] = BoundedMemo(2)
+        for key in range(3):
+            memo.put(key, key)
+        assert memo.evictions == 1
+        assert memo.get(0) is None and memo.get(2) == 2
+        assert (memo.hits, memo.misses) == (1, 1)
+        with pytest.raises(ValueError):
+            BoundedMemo(0)
 
     def test_counters_surface_in_enumeration_stats(self):
         stats = EnumerationStats(forbidden_cache_hits=2, forbidden_cache_misses=3)

@@ -20,9 +20,10 @@ import time
 import pytest
 
 from repro.core import Constraints
+from repro.dfg import Opcode
 from repro.dfg.builder import diamond, linear_chain
 from repro.engine import BatchRunner, get_algorithm, register_algorithm, unregister_algorithm
-from repro.memo import ResultStore, enumerate_deduplicated, iter_enumerate_deduplicated
+from repro.memo import ResultStore
 from repro.workloads import build_kernel
 from tests.conftest import make_random_dag
 
@@ -389,7 +390,7 @@ class TestStreamingStore:
 # --------------------------------------------------------------------------- #
 # Streaming dedup
 # --------------------------------------------------------------------------- #
-def test_iter_enumerate_deduplicated_streams_whole_classes():
+def test_iter_run_streams_followers_right_after_their_leader():
     base = make_random_dag(3, num_operations=6)
     copy = make_random_dag(3, num_operations=6)
     copy.name = "copy_of_base"
@@ -398,23 +399,19 @@ def test_iter_enumerate_deduplicated_streams_whole_classes():
 
     calls = []
     streamed = list(
-        iter_enumerate_deduplicated(
+        BatchRunner(constraints=constraints).iter_run(
             [base, copy, other],
-            constraints=constraints,
             progress=lambda item, done, total: calls.append((done, total)),
         )
     )
-    assert sorted(item.index for item in streamed) == [0, 1, 2]
+    assert [item.index for item in streamed] == [0, 1, 2]
     assert [done for done, _ in calls] == [1, 2, 3]
     assert all(total == 3 for _, total in calls)
-    # The duplicate copy rides on its representative, never enumerated.
+    # The duplicate copy rides on its leader, never enumerated.
     by_index = {item.index: item for item in streamed}
-    assert by_index[1].deduplicated and by_index[1].ok
-
-    report = enumerate_deduplicated([base, copy, other], constraints=constraints)
-    assert [item.result.node_sets() for item in report.items] == [
-        by_index[i].result.node_sets() for i in range(3)
-    ]
+    assert by_index[1].deduplicated and by_index[1].cached and by_index[1].ok
+    assert not by_index[0].deduplicated and not by_index[2].deduplicated
+    assert by_index[1].result.node_sets() == by_index[0].result.node_sets()
 
 
 # --------------------------------------------------------------------------- #
@@ -430,11 +427,19 @@ def _mid_sleepy_run(request):
     return get_algorithm("exhaustive").enumerate(request)
 
 
+#: One opcode per chain, so no two chains are isomorphic: the runner would
+#: otherwise enumerate one of them and serve the rest from its result.
+_CHAIN_OPCODES = (
+    Opcode.ADD, Opcode.SUB, Opcode.XOR, Opcode.AND,
+    Opcode.OR, Opcode.MUL, Opcode.MIN, Opcode.MAX,
+)
+
+
 def _uniform_chain_blocks(count: int, slow_index=None, slow_prefix="slow"):
-    """*count* identically sized blocks (one size bin), distinct names."""
+    """*count* identically sized, non-isomorphic blocks (one size bin)."""
     blocks = []
     for position in range(count):
-        graph = linear_chain(4)
+        graph = linear_chain(4, opcode=_CHAIN_OPCODES[position])
         graph.name = (
             f"{slow_prefix}_block"
             if position == slow_index
