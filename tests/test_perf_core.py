@@ -268,6 +268,8 @@ class TestBoundedForbiddenBetweenCache:
         assert memo.evictions == 1
         assert memo.get(0) is None and memo.get(2) == 2
         assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_bounded_memo_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             BoundedMemo(0)
 
