@@ -20,10 +20,10 @@ The algorithm is complete (it enumerates exactly the valid convex cuts under
 the constraints).  Its worst case is exponential, and the paper's Figures 4–5
 show it losing to the polynomial algorithm on trees.  This implementation
 does not reproduce that: on ``tree_dfg(d)`` at Nin=4/Nout=2 it beats
-``poly-enum-incremental`` at every measured depth — 0.007/0.07/0.38 s against
-0.12/2.0/74 s at depths 4/5/6 (CPython 3.11, 2-vCPU x86-64 VM).  Its time
-grows ~5x per depth, poly's ~36x.  Whether its permanent-input pruning is
-stronger than the paper's baseline is still open.
+``poly-enum-incremental`` at every measured depth — 0.006/0.04/0.36 s against
+0.074/0.95/46 s at depths 4/5/6 (``process_time``, CPython 3.11, 2-vCPU
+x86-64 VM).  Its time grows 7–9x per depth, poly's 13–48x.  Whether its
+permanent-input pruning is stronger than the paper's baseline is still open.
 """
 
 from __future__ import annotations

@@ -18,8 +18,10 @@ The hot path is organised around precomputation and incrementality:
   per (vertex, output) pair, computed once and shared across pruning
   configurations and batch workers through the engine's context cache);
 * the dominator queries go through the context's shared caches — one
-  Lengauer–Tarjan run per distinct *reachable region*, answering the
-  completion query of every output of that region;
+  immediate-dominator array per distinct *reachable region*, answering the
+  completion query of every output of that region, and derived from the
+  array of the parent seed set by recomputing only the added seed's
+  descendants (a full dominator pass runs only without a cached parent);
 * the postdominator pair-loops of the admissibility and input–input checks
   are single mask intersections against precomputed comparability masks;
 * the per-cut acceptance test derives inputs, outputs and convexity in one
@@ -89,16 +91,14 @@ class IncrementalEnumerator:
         # states.  (The dominator/contribution memoisation lives on the
         # context and is shared across runs.)
         self._visited_states: set = set()
+        self._seed_lists: Dict[int, List[int]] = {}
         self._tables = self.ctx.contribution_tables
         self._debug_validate = debug_validation_enabled()
         # Candidate outputs in topological order: picking outputs
         # ancestors-first guarantees every output set can be selected without
         # tripping the output-output pruning.
-        topo_positions = {
-            v: i for i, v in enumerate(self.ctx.augmented.graph.topological_order())
-        }
         self._output_candidates: List[int] = sorted(
-            self.ctx.candidate_nodes, key=lambda v: topo_positions[v]
+            self.ctx.candidate_nodes, key=self.ctx.topo_positions().__getitem__
         )
         self._forbidden_succ_mask = self._nodes_with_forbidden_successor()
         # Postdominator comparability rows: bit u of row v set iff u
@@ -292,7 +292,9 @@ class IncrementalEnumerator:
 
         if nin_left > 1:
             # Extend the seed set with another ancestor of the output.
-            for seed in self._seed_candidates(output, inputs_mask):
+            for seed in self._seed_candidates(output):
+                if (inputs_mask >> seed) & 1:
+                    continue
                 if output_input and forbidden_interiors[seed] & ~inputs_mask:
                     count_pruned("output_input_forbidden_path")
                     continue
@@ -314,13 +316,18 @@ class IncrementalEnumerator:
                     nout_left,
                 )
 
-    def _seed_candidates(self, output: int, inputs_mask: int) -> List[int]:
-        """Ancestors of *output* usable as additional seed-set members."""
-        ctx = self.ctx
-        ancestors = ctx.ancestors_mask(output)
-        ancestors &= ~(1 << ctx.source)
-        ancestors &= ~inputs_mask
-        return ids_from_mask(ancestors)
+    def _seed_candidates(self, output: int) -> List[int]:
+        """Ascending ids of the ancestors of *output*, source excluded.
+
+        The seed-set extensions of *output*; callers skip the ids already in
+        the input set.  Built once per output and reused by every frame.
+        """
+        seeds = self._seed_lists.get(output)
+        if seeds is None:
+            ctx = self.ctx
+            seeds = ids_from_mask(ctx.ancestors_mask(output) & ~(1 << ctx.source))
+            self._seed_lists[output] = seeds
+        return seeds
 
     # ------------------------------------------------------------------ #
     # Pruning predicates (Section 5.3)

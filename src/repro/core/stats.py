@@ -15,9 +15,10 @@ class EnumerationStats:
     """Counters collected while enumerating cuts.
 
     The counters mirror the quantities the paper discusses: the number of
-    Lengauer–Tarjan invocations (the kernel that takes "at least 70% of the
-    time"), the number of candidate cuts submitted to the validity check, and
-    how many branches each pruning rule removed.
+    immediate-dominator arrays built (the paper's Lengauer–Tarjan
+    invocations, which take "at least 70% of the time" in its C
+    implementation), the number of candidate cuts submitted to the validity
+    check, and how many branches each pruning rule removed.
     """
 
     cuts_found: int = 0
@@ -28,8 +29,9 @@ class EnumerationStats:
     pick_input_calls: int = 0
     pruned: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
-    #: Wall time spent inside the Lengauer–Tarjan dominator kernel itself
-    #: (fresh runs only — region-cache hits cost no kernel time).
+    #: Wall time spent building immediate-dominator arrays, whether derived
+    #: from a parent region or computed by a full pass (region-cache hits
+    #: cost none).
     lt_seconds: float = 0.0
     #: Hit/miss counters of the ReachabilityIndex forbidden-between memo
     #: (bounded; see repro.dfg.reachability.FORBIDDEN_BETWEEN_CACHE_LIMIT).

@@ -13,7 +13,9 @@ legitimately differ on a few borderline cuts of some graphs; the
 optimisation may not change that relationship in either direction).
 
 The unit tests pin down the new machinery directly: the DAG dominator
-kernel against Lengauer–Tarjan, contribution-table invalidation on
+kernel against Lengauer–Tarjan, the parent-derived reachable regions and
+idom arrays against full passes (and the no-parent fallback under
+eviction), contribution-table invalidation on
 forbidden-fingerprint changes, the bounded forbidden-between memo with its
 hit/miss counters, and the ``REPRO_DEBUG_VALIDITY`` cross-check.
 """
@@ -27,6 +29,7 @@ import pytest
 from repro.baselines.legacy_incremental import enumerate_cuts_legacy
 from repro.caching import BoundedMemo
 from repro.core import Constraints
+from repro.core import context
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
 from repro.core.incremental import enumerate_cuts
@@ -194,6 +197,95 @@ class TestDagDominatorKernel:
         second = enumerate_cuts(graph, constraints, context=ctx)
         assert second.stats.lt_calls == 0
         assert _cut_keys(second) == _cut_keys(first)
+
+
+class TestParentDerivedRegions:
+    """Regions and idom arrays derived from a cached one-smaller mask."""
+
+    def test_derived_regions_and_idoms_match_full_passes(self, monkeypatch):
+        full_passes = []
+
+        def counting_kernel(*args, **kwargs):
+            full_passes.append(kwargs.get("removed_mask"))
+            return immediate_dominators_dag(*args, **kwargs)
+
+        monkeypatch.setattr(context, "immediate_dominators_dag", counting_kernel)
+        rng = random.Random(14)
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        steps = 0
+        for seed in range(30):
+            graph = make_random_dag(seed, num_operations=10, memory_probability=0.3)
+            for _ in range(4):
+                ctx = EnumerationContext.build(graph, constraints)
+                source = ctx.source
+                full_passes.clear()
+                mask = 0
+                ctx.dominator_completions_for(mask, source)
+                for _ in range(rng.randrange(3, 8)):
+                    region = ctx.reachable_avoiding(mask)
+                    # Grow the mask: a successor of the source, a forbidden
+                    # vertex, a vertex an earlier removal already cut off,
+                    # or any other vertex.
+                    pools = [
+                        [v for v in ctx.successor_lists[source] if not (mask >> v) & 1],
+                        [
+                            v
+                            for v in range(ctx.num_nodes)
+                            if ctx.is_forbidden(v) and v != source and not (mask >> v) & 1
+                        ],
+                        [
+                            v
+                            for v in range(ctx.num_nodes)
+                            if not (region >> v) & 1 and not (mask >> v) & 1
+                        ],
+                        [
+                            v
+                            for v in range(ctx.num_nodes)
+                            if v != source and not (mask >> v) & 1
+                        ],
+                    ]
+                    pools = [pool for pool in pools if pool]
+                    if not pools:
+                        break
+                    mask |= 1 << rng.choice(rng.choice(pools))
+                    derived_region = ctx.reachable_avoiding(mask)
+                    assert derived_region == ctx._sweep_region(mask)
+                    ctx.dominator_completions_for(mask, source)
+                    reference = immediate_dominators(
+                        ctx.num_nodes, ctx.successor_lists, source, removed_mask=mask
+                    )
+                    assert ctx._idom_cache[derived_region] == reference
+                    assert reference == immediate_dominators_dag(
+                        ctx.topo_order, ctx.predecessor_lists, source, removed_mask=mask
+                    )
+                    steps += 1
+                # Every array after the empty mask's came from its parent.
+                assert full_passes == [0]
+        assert steps >= 300
+
+    def test_eviction_falls_back_to_full_passes_with_identical_cuts(self, monkeypatch):
+        constraints = Constraints(max_inputs=4, max_outputs=2)
+        graphs = [tree_dfg(3), inverted_tree_dfg(3)] + [
+            make_random_dag(seed, num_operations=10) for seed in range(12)
+        ]
+        expected = [_cut_keys(enumerate_cuts(graph, constraints)) for graph in graphs]
+        full_passes = []
+
+        def counting_kernel(*args, **kwargs):
+            full_passes.append(kwargs.get("removed_mask"))
+            return immediate_dominators_dag(*args, **kwargs)
+
+        monkeypatch.setattr(context, "immediate_dominators_dag", counting_kernel)
+        monkeypatch.setattr(context, "REGION_CACHE_LIMIT", 2)
+        for graph, keys in zip(graphs, expected):
+            ctx = EnumerationContext.build(graph, constraints)
+            assert _cut_keys(enumerate_cuts(graph, constraints, context=ctx)) == keys, (
+                graph.name
+            )
+            assert len(ctx._reachable_cache) <= 2
+            assert len(ctx._idom_cache) <= 2
+        # Evicted parents forced full passes on non-empty masks.
+        assert any(full_passes)
 
 
 class TestContributionTables:
