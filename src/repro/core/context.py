@@ -3,9 +3,14 @@
 The paper's Section 5.4 lists the data structures kept by the implementation:
 adjacency lists and matrix, path-presence information annotated with forbidden
 vertices, and the dominator/postdominator trees.  :class:`EnumerationContext`
-bundles all of them, derived once from a :class:`~repro.dfg.graph.DataFlowGraph`
-and a :class:`~repro.core.constraints.Constraints` object, and is shared by
-every enumeration algorithm and by the validity checks.
+keeps the ones the search reads, derived once from a
+:class:`~repro.dfg.graph.DataFlowGraph` and a
+:class:`~repro.core.constraints.Constraints` object: adjacency lists, the
+closure index with the forbidden mask, and the postdominator tree (which feeds
+the output and input comparability checks).  It is shared by every
+enumeration algorithm and by the validity checks.  No whole-graph dominator
+tree is kept: the search only asks dominator questions of graphs with seed
+vertices removed.
 
 The context also answers the dominator queries of Dubrova's reduction
 (Section 5.4: the dominator work dominates the run time).  Adding seed ``w``
@@ -29,7 +34,7 @@ from ..dfg.reachability import ReachabilityIndex, ids_from_mask, mask_from_ids
 from ..dominators.dominator_tree import DominatorTree
 from ..dominators.iterative import immediate_dominators_dag
 from ..dominators.multi_vertex import CompletionResult, completions_from_idom
-from ..dominators.postdominators import dominator_tree_of, postdominator_tree_of
+from ..dominators.postdominators import postdominator_tree_of
 from .constraints import Constraints
 
 
@@ -128,7 +133,7 @@ _ALREADY_DOMINATED = CompletionResult(already_dominated=True, completions=(), lt
 #: arrays, completion steps).  The keys are drawn from one graph's own
 #: search space, which is usually far smaller, but a pathological block
 #: under a long-lived batch worker must not grow without bound — eviction
-#: is first-in, like the reachability index's forbidden-between memo.
+#: is first-in.
 REGION_CACHE_LIMIT = 32768
 
 
@@ -137,12 +142,14 @@ class EnumerationContext:
     """Precomputed view of a basic block, ready for cut enumeration.
 
     Use :meth:`build` to construct one; the attributes are then read-only by
-    convention.  On top of the static precomputation the context owns the
-    *shared dominator-query caches* of the enumeration hot path: reachable
-    regions per forbidden/seed mask, one immediate-dominator array per
-    reachable region (one dominator array answers the completion query of
-    every output of that region), and the per-(region, output)
-    completion steps derived from them.  A missing region or idom array is
+    convention.  The static precomputation is the augmented graph, its
+    adjacency lists, closure index and topological order, the candidate and
+    forbidden masks, and the postdominator tree.  On top of it the context
+    owns the *shared dominator-query caches* of the enumeration hot path:
+    reachable regions per forbidden/seed mask, one immediate-dominator array
+    per reachable region (one dominator array answers the completion query
+    of every output of that region), and the per-(region, output) completion
+    steps derived from them.  A missing region or idom array is
     derived from the cached entry of a one-smaller removal mask (see
     :meth:`reachable_avoiding`).  Keeping these on the context —
     rather than inside one enumerator instance — lets repeated runs over the
@@ -154,14 +161,12 @@ class EnumerationContext:
     original_graph: DataFlowGraph
     augmented: AugmentedDFG
     reach: ReachabilityIndex
-    dom_tree: DominatorTree
     postdom_tree: DominatorTree
     successor_lists: List[List[int]] = field(default_factory=list)
     predecessor_lists: List[List[int]] = field(default_factory=list)
     forbidden_mask: int = 0
     candidate_mask: int = 0
     candidate_nodes: List[int] = field(default_factory=list)
-    depths: List[int] = field(default_factory=list)
     topo_order: List[int] = field(default_factory=list)
     #: Immediate-dominator arrays built through this context (cache misses
     #: only, one per array whether derived from a parent region or computed
@@ -204,7 +209,6 @@ class EnumerationContext:
 
         augmented = augment(working)
         reach = ReachabilityIndex(augmented.graph, forbidden=augmented.forbidden)
-        dom_tree = dominator_tree_of(augmented)
         postdom_tree = postdominator_tree_of(augmented)
 
         num_nodes = augmented.graph.num_nodes
@@ -216,7 +220,6 @@ class EnumerationContext:
             v for v in augmented.original_node_ids() if v not in augmented.forbidden
         ]
         candidate_mask = mask_from_ids(candidate_nodes)
-        depths = augmented.graph.all_depths()
         topo_order = list(augmented.graph.topological_order())
 
         return cls(
@@ -224,14 +227,12 @@ class EnumerationContext:
             original_graph=graph,
             augmented=augmented,
             reach=reach,
-            dom_tree=dom_tree,
             postdom_tree=postdom_tree,
             successor_lists=successor_lists,
             predecessor_lists=predecessor_lists,
             forbidden_mask=forbidden_mask,
             candidate_mask=candidate_mask,
             candidate_nodes=candidate_nodes,
-            depths=depths,
             topo_order=topo_order,
         )
 

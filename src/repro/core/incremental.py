@@ -112,9 +112,6 @@ class IncrementalEnumerator:
     # ------------------------------------------------------------------ #
     def run(self) -> EnumerationResult:
         """Execute the search and return the enumeration result."""
-        reach = self.ctx.reach
-        hits_before = reach.forbidden_cache_hits
-        misses_before = reach.forbidden_cache_misses
         lt_seconds_before = self.ctx.lt_seconds_performed
         with Stopwatch(self.stats):
             self._pick_output(
@@ -125,8 +122,6 @@ class IncrementalEnumerator:
                 nout_left=self.ctx.max_outputs,
             )
         self.stats.cuts_found = len(self._found)
-        self.stats.forbidden_cache_hits = reach.forbidden_cache_hits - hits_before
-        self.stats.forbidden_cache_misses = reach.forbidden_cache_misses - misses_before
         self.stats.lt_seconds = self.ctx.lt_seconds_performed - lt_seconds_before
         return EnumerationResult(
             cuts=list(self._found.values()),

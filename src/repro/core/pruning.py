@@ -38,11 +38,6 @@ class PruningConfig:
         When a partially built cut temporarily exceeds the output budget,
         keep searching but only accept additional outputs that are reachable
         from an already selected input (Section 5.3, "Connectedness").
-    dominator_input:
-        Placeholder for the paper's dominator–input pruning.  The paper only
-        sketches a "simplified version" of this rule; reproducing it exactly
-        is not possible from the text, and enabling the flag currently has no
-        effect.  It is kept so that ablation reports show the rule explicitly.
     """
 
     output_output: bool = True
@@ -50,7 +45,6 @@ class PruningConfig:
     output_input: bool = True
     input_input: bool = True
     connected_recovery: bool = True
-    dominator_input: bool = False
 
     def disable(self, name: str) -> "PruningConfig":
         """Return a copy with the pruning *name* switched off."""
@@ -68,7 +62,6 @@ class PruningConfig:
                 "output_input",
                 "input_input",
                 "connected_recovery",
-                "dominator_input",
             )
             if getattr(self, name)
         ]
@@ -84,5 +77,4 @@ NO_PRUNING = PruningConfig(
     output_input=False,
     input_input=False,
     connected_recovery=False,
-    dominator_input=False,
 )

@@ -18,7 +18,9 @@ class EnumerationStats:
     immediate-dominator arrays built (the paper's Lengauer–Tarjan
     invocations, which take "at least 70% of the time" in its C
     implementation), the number of candidate cuts submitted to the validity
-    check, and how many branches each pruning rule removed.
+    check, the valid cuts found again by another search path
+    (``duplicates``), and how many branches each pruning rule removed.
+    Every field is a search counter or timer of one enumeration.
     """
 
     cuts_found: int = 0
@@ -33,10 +35,6 @@ class EnumerationStats:
     #: from a parent region or computed by a full pass (region-cache hits
     #: cost none).
     lt_seconds: float = 0.0
-    #: Hit/miss counters of the ReachabilityIndex forbidden-between memo
-    #: (bounded; see repro.dfg.reachability.FORBIDDEN_BETWEEN_CACHE_LIMIT).
-    forbidden_cache_hits: int = 0
-    forbidden_cache_misses: int = 0
 
     # The in-search memo is gone, but the frozen perfbench tracer still reads
     # these three counters; they stay as constant zeros, never serialized.
@@ -66,8 +64,6 @@ class EnumerationStats:
         self.pick_input_calls += other.pick_input_calls
         self.elapsed_seconds += other.elapsed_seconds
         self.lt_seconds += other.lt_seconds
-        self.forbidden_cache_hits += other.forbidden_cache_hits
-        self.forbidden_cache_misses += other.forbidden_cache_misses
         for rule, amount in other.pruned.items():
             self.count_pruned(rule, amount)
 
@@ -84,12 +80,6 @@ class EnumerationStats:
         ]
         if self.lt_seconds:
             lines.append(f"LT kernel time      : {self.lt_seconds:.4f} s")
-        if self.forbidden_cache_hits or self.forbidden_cache_misses:
-            lines.append(
-                "forbidden-path cache: "
-                f"{self.forbidden_cache_hits} hits / "
-                f"{self.forbidden_cache_misses} misses"
-            )
         for rule in sorted(self.pruned):
             lines.append(f"pruned[{rule}]: {self.pruned[rule]}")
         return "\n".join(lines)

@@ -12,15 +12,13 @@ Parallel runs (``jobs >= 2``, ``jobs="auto"``, or ``force_pool=True``) use a
 design decisions make the pool actually win against sub-40ms enumerations
 from the paper's polynomial-time enumerator:
 
-* **Worker-resident state.**  Each worker process keeps a bounded registry of
-  deserialized graphs keyed by the parent's structural fingerprint, plus a
-  :class:`ContextCache` of prepared :class:`EnumerationContext` objects.  A
-  graph is shipped and deserialized once per worker, not once per block;
-  subsequent tasks refer to it by fingerprint only.  The parent tracks how
-  many copies of each graph it has shipped and stops attaching the graph
-  body once every worker can have seen it; a worker that nevertheless misses
-  a graph (registry eviction, unlucky task routing) reports ``missing`` and
-  the block is resubmitted with the body attached.
+* **Worker-resident contexts.**  Each worker process keeps a
+  :class:`ContextCache` of prepared :class:`EnumerationContext` objects,
+  keyed by the parent's structural fingerprint of the graph, so a worker
+  that meets a structure again reuses its context and dominator caches.
+  Every task carries its graph's wire form: whole-block dedup dispatches
+  each structure at most once per run, so a worker-side graph registry
+  would save a shipment only when a warmed runner is reused.
 * **Size-binned chunked dispatch.**  Blocks are binned by node count
   (:data:`CHUNK_BIN_NODE_WIDTH` nodes per bin) and many same-bin blocks
   travel in one task (up to :data:`MAX_CHUNK_BLOCKS`), so the per-task
@@ -107,7 +105,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -148,10 +145,6 @@ MAX_CHUNK_BLOCKS = 16
 #: streaming window keeps every worker busy while chunks stay small enough
 #: for timely completion-order yielding.
 CHUNK_TARGET_PER_WORKER = 3
-
-#: Bound on the per-worker graph registry (graphs kept deserialized in each
-#: worker process, keyed by structural fingerprint).
-WORKER_GRAPH_REGISTRY_LIMIT = 256
 
 #: How long (seconds) to wait for the surviving futures of a broken pool to
 #: settle before classifying them.
@@ -378,19 +371,14 @@ def _size_bin(graph: DataFlowGraph) -> int:
 #: Per-process context cache reused across the tasks a worker executes.
 _worker_cache: Optional[ContextCache] = None
 
-#: Per-process registry of deserialized graphs, keyed by the parent's
-#: structural fingerprint.  Bounded LRU: a graph is deserialized once per
-#: worker and then referenced by fingerprint for the rest of the pool's life.
-_worker_graphs: "OrderedDict[str, DataFlowGraph]" = OrderedDict()
-
 
 #: Statically-extracted shape of the chunk result records produced by
 #: :func:`_enumerate_chunk` (every appended dict plus the return
 #: expressions), pinned by ``repro lint``'s wire-drift pass.  Changing the
 #: record layout requires bumping ``_ENUMERATE_CHUNK_SHAPE_VERSION`` and
 #: recording the new hash here — old entries stay for provenance.
-_ENUMERATE_CHUNK_SHAPE_VERSION = 1
-_ENUMERATE_CHUNK_SHAPE_HISTORY = {1: "dda190e6e754a264"}
+_ENUMERATE_CHUNK_SHAPE_VERSION = 2
+_ENUMERATE_CHUNK_SHAPE_HISTORY = {1: "dda190e6e754a264", 2: "94ccd7c823eeb351"}
 
 
 # repro-lint: worker-entry
@@ -406,29 +394,27 @@ def _enumerate_chunk(
         str,
         Optional[Constraints],
         Optional[PruningConfig],
-        Tuple[Tuple[str, Optional[tuple]], ...],
+        Tuple[Tuple[str, tuple], ...],
         Optional[Tuple[str, int]],
     ],
 ) -> Union[List[Dict[str, object]], Dict[str, object]]:
     """Enumerate one chunk of blocks inside a worker process.
 
     ``payload`` is ``(algorithm_name, constraints, pruning, blocks,
-    obs_config)`` where each block is ``(fingerprint, wire_or_None)`` — the
-    wire form is attached only when the parent believes this worker may not
-    have seen the graph yet; otherwise the worker resolves the fingerprint
-    in its registry.  ``obs_config`` is the parent's observability
-    activation (see :func:`repro.obs.runtime.ensure_worker`); payloads from
-    older callers may omit it.
+    obs_config)`` where each block is ``(fingerprint, wire)``: the graph's
+    structural fingerprint (the key of the worker's :class:`ContextCache`)
+    and its :func:`~repro.dfg.serialization.graph_to_wire` form.
+    ``obs_config`` is the parent's observability activation (see
+    :func:`repro.obs.runtime.ensure_worker`); payloads from older callers
+    may omit it.
 
     Returns one compact, picklable summary per block, aligned with the
     input: cut bit masks, statistics, algorithm label and the wall-clock
     time the block actually ran (``task_seconds``, stamped per block *inside*
     the chunk — the basis of the parent's over-budget accounting, which must
     never charge queue wait or a sibling block's runtime to a block).  A
-    block whose graph is neither attached nor registered yields
-    ``{"missing": True}`` and the parent resubmits it with the body; a block
-    whose enumeration raises yields an ``{"error": ...}`` record without
-    poisoning its siblings.
+    block whose enumeration raises yields an ``{"error": ...}`` record
+    without poisoning its siblings.
 
     With observability on, the per-block list is wrapped as
     ``{"results": [...], "metrics": <wire>, "spans": <wire>}`` — the
@@ -444,17 +430,7 @@ def _enumerate_chunk(
     with tracer.span("worker.chunk", cat="pool", blocks=len(blocks)):
         for fingerprint, wire in blocks:
             task_start = time.perf_counter()
-            graph = _worker_graphs.get(fingerprint)
-            if graph is None:
-                if wire is None:
-                    results.append({"missing": True})
-                    continue
-                graph = graph_from_wire(wire)
-                _worker_graphs[fingerprint] = graph
-                while len(_worker_graphs) > WORKER_GRAPH_REGISTRY_LIMIT:
-                    _worker_graphs.popitem(last=False)
-            else:
-                _worker_graphs.move_to_end(fingerprint)
+            graph = graph_from_wire(wire)
             try:
                 with tracer.span("worker.block", cat="pool", graph=graph.name) as span:
                     context = None
@@ -497,22 +473,11 @@ def _enumerate_chunk(
 
 
 class _WorkerPool:
-    """A ``ProcessPoolExecutor`` plus its graph-shipping ledger.
-
-    The ledger tracks, per structural fingerprint, how many task payloads
-    carried the graph body to this pool.  Once ``jobs`` copies have shipped,
-    every worker *may* have registered the graph, so further chunks refer to
-    it by fingerprint alone; ``must_ship`` pins fingerprints a worker
-    reported missing (eviction or unlucky routing), forcing the body onto
-    every later shipment.  The ledger dies with the pool — fresh workers
-    have empty registries.
-    """
+    """A ``ProcessPoolExecutor`` plus its dispatch and shutdown helpers."""
 
     def __init__(self, executor: ProcessPoolExecutor, jobs: int) -> None:
         self.executor = executor
         self.jobs = jobs
-        self.shipped: Dict[str, int] = {}
-        self.must_ship: Set[str] = set()
         #: Set once the executor is shut down; a dead pool is never reused.
         self.dead = False
 
@@ -524,22 +489,10 @@ class _WorkerPool:
         chunk: List[BatchItem],
     ) -> Future:
         metrics = obs.metrics()
-        blocks = []
-        for item in chunk:
-            fingerprint = item.graph.structural_hash()
-            shipped_before = self.shipped.get(fingerprint, 0)
-            ship = fingerprint in self.must_ship or shipped_before < self.jobs
-            if ship:
-                self.shipped[fingerprint] = shipped_before + 1
-                metrics.inc("pool.graphs_shipped_total")
-                if shipped_before >= self.jobs:
-                    # Every worker could have seen this graph and one still
-                    # reported it missing — an eviction- or routing-driven
-                    # re-ship, worth watching separately.
-                    metrics.inc("pool.graph_reships_total")
-            blocks.append(
-                (fingerprint, graph_to_wire(item.graph) if ship else None)
-            )
+        blocks = [
+            (item.graph.structural_hash(), graph_to_wire(item.graph))
+            for item in chunk
+        ]
         metrics.inc("pool.chunks_dispatched_total")
         metrics.inc("pool.blocks_dispatched_total", len(blocks))
         return self.executor.submit(
@@ -835,8 +788,6 @@ class BatchRunner:
         metrics.inc("enum.lt_seconds_total", stats.lt_seconds)
         metrics.inc("enum.pick_output_calls_total", stats.pick_output_calls)
         metrics.inc("enum.pick_input_calls_total", stats.pick_input_calls)
-        metrics.inc("enum.forbidden_cache_hits_total", stats.forbidden_cache_hits)
-        metrics.inc("enum.forbidden_cache_misses_total", stats.forbidden_cache_misses)
         for rule, amount in stats.pruned.items():
             metrics.inc("enum.pruned_total", amount, rule=rule)
         metrics.observe("enum.block_seconds", stats.elapsed_seconds)
@@ -1160,7 +1111,7 @@ class BatchRunner:
         window = max(WINDOW_FACTOR * jobs, 2)
         capacity = self._chunk_capacity(total_hint)
         stage_limit = window * capacity
-        retry: "deque[List[BatchItem]]" = deque()  # crash/timeout/missing chunks
+        retry: "deque[List[BatchItem]]" = deque()  # crash/timeout chunks
         staged: "deque[BatchItem]" = deque()  # pulled misses awaiting dispatch
         crash_charges: Dict[int, int] = {}  # strikes: observed-running crashes
         crash_encounters: Dict[int, int] = {}  # any crash witnessed in flight
@@ -1248,13 +1199,11 @@ class BatchRunner:
                 for future in done:
                     chunk = in_flight.pop(future)
                     was_running = started.pop(future, None) is not None
-                    outcome = self._collect_chunk(future, chunk, pool)
-                    if outcome is None:
+                    finished = self._collect_chunk(future, chunk)
+                    if finished is None:
                         crashed.append((chunk, was_running))
                     else:
                         quarantine = max(quarantine - 1, 0)
-                        finished, requeue = outcome
-                        retry.extend(requeue)
                         if finished:
                             yield finished
 
@@ -1266,14 +1215,11 @@ class BatchRunner:
                         wait(list(in_flight), timeout=_BROKEN_POOL_DRAIN_SECONDS)
                         for future, chunk in list(in_flight.items()):
                             was_running = started.pop(future, None) is not None
-                            outcome = self._collect_chunk(future, chunk, pool)
-                            if outcome is None:
+                            finished = self._collect_chunk(future, chunk)
+                            if finished is None:
                                 crashed.append((chunk, was_running))
-                            else:
-                                finished, requeue = outcome
-                                retry.extend(requeue)
-                                if finished:
-                                    yield finished
+                            elif finished:
+                                yield finished
                         in_flight.clear()
                         started.clear()
                     pool.discard()
@@ -1348,11 +1294,9 @@ class BatchRunner:
                 survivors: List[List[BatchItem]] = []
                 for future, chunk in list(in_flight.items()):
                     if future.done():
-                        outcome = self._collect_chunk(future, chunk, pool)
-                        if outcome is not None:
+                        finished = self._collect_chunk(future, chunk)
+                        if finished is not None:
                             quarantine = max(quarantine - 1, 0)
-                            finished, requeue = outcome
-                            retry.extend(requeue)
                             if finished:
                                 yield finished
                             continue
@@ -1425,15 +1369,12 @@ class BatchRunner:
         self,
         future: Future,
         chunk: List[BatchItem],
-        pool: _WorkerPool,
-    ) -> Optional[Tuple[List[BatchItem], List[List[BatchItem]]]]:
+    ) -> Optional[List[BatchItem]]:
         """Turn a finished chunk future into its items, or report a worker death.
 
-        Returns ``(finished, requeue)`` — the items ready to be yielded
-        (successes, worker errors, completed-over-budget) and the
-        single-block tasks to resubmit (blocks whose graph the worker was
-        missing) — or ``None`` when the worker died and the caller must
-        triage the whole chunk for the crash-retry pass.
+        Returns the items ready to be yielded (successes, worker errors,
+        completed-over-budget), or ``None`` when the worker died and the
+        caller must triage the whole chunk for the crash-retry pass.
         """
         try:
             payloads = future.result(timeout=0)
@@ -1446,23 +1387,14 @@ class BatchRunner:
             message = f"{type(exc).__name__}: {exc}"
             for item in chunk:
                 item.error = message
-            return list(chunk), []
+            return list(chunk)
         if isinstance(payloads, dict):
             # Observability-enabled worker: the per-block list rides inside a
             # wrapper dict next to the worker's drained metric/span deltas.
             obs.absorb_worker_payload(payloads)
             payloads = payloads["results"]
         finished: List[BatchItem] = []
-        requeue: List[List[BatchItem]] = []
         for item, payload in zip(chunk, payloads):
-            if payload.get("missing"):
-                # The worker never saw this graph (registry eviction or
-                # unlucky routing): pin the body onto future shipments and
-                # resubmit the block alone.
-                pool.must_ship.add(item.graph.structural_hash())
-                obs.metrics().inc("pool.graph_missing_total")
-                requeue.append([item])
-                continue
             error = payload.get("error")
             if error is not None:
                 item.error = str(error)
@@ -1486,7 +1418,7 @@ class BatchRunner:
                 # sequential semantics.
                 item.timed_out = True
             finished.append(item)
-        return finished, requeue
+        return finished
 
 
 def enumerate_batch(

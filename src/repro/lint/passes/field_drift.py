@@ -4,10 +4,11 @@ The bug class this pass exists for: a dataclass grows a field, but one of
 its hand-written serializers — ``to_dict``/``from_dict`` methods, paired
 ``*_to_dict``/``*_from_dict`` module functions, or an accumulating
 ``merge()`` — is not updated, and the field is *silently dropped* on one
-side of a round-trip.  PR 7 shipped exactly this bug: the
-``forbidden_cache_hits``/``forbidden_cache_misses`` counters of
-``EnumerationStats`` vanished on the memo-store path because
-``stats_to_dict`` predated them.
+side of a round-trip.  PR 7 shipped exactly this bug: the hit/miss
+counters of the forbidden-between memo on ``EnumerationStats`` vanished on
+the memo-store path because ``stats_to_dict`` predated them.  (Both
+counters were later deleted as dead: no search path ever queried the memo
+they counted.)
 
 For every dataclass in a module, the pass discovers its serializers:
 

@@ -1,8 +1,8 @@
 """Worker shared-state race detector (``worker-shared-state``).
 
 The PR 6 worker pool keeps *deliberate* worker-resident state (the
-per-process graph registry and context cache).  Everything else that code
-running inside a pool worker touches must be worker-local: a write to
+per-process context cache).  Everything else that code running inside a
+pool worker touches must be worker-local: a write to
 module-level mutable state looks correct under ``fork`` on Linux (the child
 sees a copy), silently diverges from the parent, and breaks outright under
 ``spawn`` — the classic cross-process aliasing bug.
@@ -43,11 +43,9 @@ from .base import ProjectPass, dotted_name, import_table
 #: per-process *by design*.
 WORKER_STATE_ALLOWLIST = frozenset(
     {
-        # PR 6 worker-resident registries: graphs and contexts are cached
-        # per worker process on purpose (shipped once, referenced by
-        # fingerprint afterwards).
+        # PR 6 worker-resident context cache: prepared contexts are kept
+        # per worker process on purpose, keyed by structural fingerprint.
         "repro.engine.batch:_worker_cache",
-        "repro.engine.batch:_worker_graphs",
         # PR 7 worker-local observability recorders: activated per worker by
         # ensure_worker(), drained back to the parent inside chunk results.
         "repro.obs.runtime:_metrics",

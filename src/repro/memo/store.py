@@ -70,7 +70,7 @@ def stats_to_dict(stats: EnumerationStats) -> Dict[str, object]:
     Every counter of the dataclass must round-trip: this dict is also the
     form in which per-block stats travel from pool workers back to the
     parent, and a field dropped here silently vanishes from parallel runs
-    (that is exactly how the forbidden-cache counters once disappeared).
+    (that is exactly how two cache counters, since deleted, once disappeared).
     """
     return {
         "cuts_found": stats.cuts_found,
@@ -82,8 +82,6 @@ def stats_to_dict(stats: EnumerationStats) -> Dict[str, object]:
         "pruned": dict(stats.pruned),
         "elapsed_seconds": stats.elapsed_seconds,
         "lt_seconds": stats.lt_seconds,
-        "forbidden_cache_hits": stats.forbidden_cache_hits,
-        "forbidden_cache_misses": stats.forbidden_cache_misses,
     }
 
 
@@ -99,8 +97,6 @@ def stats_from_dict(data: Dict[str, object]) -> EnumerationStats:
         pruned={str(k): int(v) for k, v in dict(data.get("pruned", {})).items()},
         elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
         lt_seconds=float(data.get("lt_seconds", 0.0)),
-        forbidden_cache_hits=int(data.get("forbidden_cache_hits", 0)),
-        forbidden_cache_misses=int(data.get("forbidden_cache_misses", 0)),
     )
 
 

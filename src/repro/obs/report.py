@@ -315,10 +315,6 @@ def format_run_report(
             f"  chunks dispatched    : {int(totals.get('pool.chunks_dispatched_total', 0))}"
         )
         lines.append(
-            f"  graph bodies shipped : {int(totals.get('pool.graphs_shipped_total', 0))}"
-            f" (+{int(totals.get('pool.graph_reships_total', 0))} re-ship(s))"
-        )
-        lines.append(
             f"  deadline expiries    : {int(totals.get('pool.deadline_expiries_total', 0))}"
         )
         lines.append(

@@ -377,7 +377,7 @@ class TestChunkedDispatch:
     def test_pool_persists_across_runs_and_results_stay_identical(
         self, batch_suite, default_constraints
     ):
-        """The second run reuses the warmed pool (worker-resident graphs and
+        """The second run reuses the warmed pool (worker-resident
         contexts) and still reproduces the first run bit for bit."""
         with BatchRunner(
             constraints=default_constraints, jobs=2, chunk_size=2

@@ -354,7 +354,7 @@ def test_worker_state_allowlist_is_honoured():
         match = re.search(r"state '([^']+)'", diagnostic.message)
         assert match is not None
         flagged.add(match.group(1))
-    assert {"_worker_cache", "_worker_graphs", "_metrics", "_tracer"} <= flagged
+    assert {"_worker_cache", "_metrics", "_tracer"} <= flagged
 
 
 # --------------------------------------------------------------------------- #

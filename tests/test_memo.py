@@ -297,15 +297,20 @@ class TestResultStore:
         assert rebuilt == stats
 
     def test_entries_with_retired_memo_counters_still_load(self):
-        """Entries written while the in-search memo existed carry its three
-        counters; they load, and the counters now read as constant zeros."""
+        """Entries written while the in-search memo and the forbidden-between
+        memo existed carry their counters; they load, the in-search counters
+        now read as constant zeros and the forbidden-cache ones are gone."""
         data = stats_to_dict(EnumerationStats(cuts_found=2))
-        assert not any(key.startswith("insearch_") for key in data)
+        assert not any(key.startswith(("insearch_", "forbidden_cache_")) for key in data)
         data.update(insearch_hits=7, insearch_misses=5, insearch_evictions=1)
+        data.update(forbidden_cache_hits=3, forbidden_cache_misses=4)
         rebuilt = stats_from_dict(data)
         assert rebuilt.cuts_found == 2
         assert (rebuilt.insearch_hits, rebuilt.insearch_misses, rebuilt.insearch_evictions) == (0, 0, 0)
-        assert "insearch_hits" not in {f.name for f in dataclasses.fields(EnumerationStats)}
+        field_names = {f.name for f in dataclasses.fields(EnumerationStats)}
+        assert "insearch_hits" not in field_names
+        assert not {"forbidden_cache_hits", "forbidden_cache_misses"} & field_names
+        assert stats_to_dict(rebuilt) == stats_to_dict(EnumerationStats(cuts_found=2))
 
     def test_request_fingerprint_sensitivity(self):
         base = request_fingerprint(CONSTRAINTS)

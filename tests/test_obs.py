@@ -253,8 +253,6 @@ def _integer_stats(stats: EnumerationStats) -> dict:
         "lt_calls": stats.lt_calls,
         "pick_output_calls": stats.pick_output_calls,
         "pick_input_calls": stats.pick_input_calls,
-        "forbidden_cache_hits": stats.forbidden_cache_hits,
-        "forbidden_cache_misses": stats.forbidden_cache_misses,
         "pruned": dict(stats.pruned),
     }
 
@@ -286,7 +284,7 @@ class TestEngineIntegration:
             runner.run(obs_suite)
         assert registry.counter_series("enum.cuts_found_total") == sequential
         assert registry.counter_total("enum.blocks_total") == sequential_blocks
-        assert registry.counter("pool.graphs_shipped_total") >= len(obs_suite)
+        assert registry.counter("pool.blocks_dispatched_total") >= len(obs_suite)
         assert registry.counter("pool.chunks_dispatched_total") >= 1
         # Worker spans crossed the wire and carry the *worker's* pid.
         worker_spans = [
@@ -451,8 +449,6 @@ class TestStoreObservability:
             pruned={"connectedness": 6},
             elapsed_seconds=0.5,
             lt_seconds=0.125,
-            forbidden_cache_hits=8,
-            forbidden_cache_misses=9,
         )
         clone = stats_from_dict(stats_to_dict(stats))
         assert clone == stats

@@ -16,8 +16,8 @@ The unit tests pin down the new machinery directly: the DAG dominator
 kernel against Lengauer–Tarjan, the parent-derived reachable regions and
 idom arrays against full passes (and the no-parent fallback under
 eviction), contribution-table invalidation on
-forbidden-fingerprint changes, the bounded forbidden-between memo with its
-hit/miss counters, and the ``REPRO_DEBUG_VALIDITY`` cross-check.
+forbidden-fingerprint changes, and the ``REPRO_DEBUG_VALIDITY``
+cross-check.
 """
 
 from __future__ import annotations
@@ -27,15 +27,12 @@ import random
 import pytest
 
 from repro.baselines.legacy_incremental import enumerate_cuts_legacy
-from repro.caching import BoundedMemo
 from repro.core import Constraints
 from repro.core import context
 from repro.core.context import EnumerationContext
 from repro.core.enumeration import enumerate_cuts_basic
 from repro.core.incremental import enumerate_cuts
 from repro.core.pruning import FULL_PRUNING, NO_PRUNING
-from repro.core.stats import EnumerationStats
-from repro.dfg import reachability
 from repro.dfg.builder import diamond, linear_chain
 from repro.dfg.reachability import ReachabilityIndex, mask_from_ids, popcount
 from repro.dominators.iterative import immediate_dominators_dag
@@ -329,52 +326,6 @@ class TestContributionTables:
         enumerate_cuts(graph, constraints, pruning=FULL_PRUNING, context=ctx)
         enumerate_cuts(graph, constraints, pruning=NO_PRUNING, context=ctx)
         assert ctx.contribution_tables is tables
-
-
-class TestBoundedForbiddenBetweenCache:
-    def test_cap_and_counters(self, monkeypatch):
-        monkeypatch.setattr(reachability, "FORBIDDEN_BETWEEN_CACHE_LIMIT", 4)
-        graph = make_random_dag(11, num_operations=12, memory_probability=0.4)
-        index = ReachabilityIndex(graph)
-        pairs = [
-            (u, w)
-            for u in graph.node_ids()
-            for w in graph.node_ids()
-            if u != w
-        ][:20]
-        for u, w in pairs:
-            index.forbidden_between_count(u, w)
-        assert len(index._forbidden_between_cache) <= 4
-        assert index.forbidden_cache_misses == len(pairs)
-        assert index.forbidden_cache_hits == 0
-        # A re-query of a resident entry is a hit and changes no counts.
-        resident = next(iter(index._forbidden_between_cache))
-        before = index.forbidden_between_count(*resident)
-        assert index.forbidden_cache_hits == 1
-        assert index.forbidden_between_count(*resident) == before
-
-    def test_bounded_memo_evicts_oldest_insertion(self):
-        memo: BoundedMemo[int, int] = BoundedMemo(2)
-        for key in range(3):
-            memo.put(key, key)
-        assert memo.evictions == 1
-        assert memo.get(0) is None and memo.get(2) == 2
-        assert (memo.hits, memo.misses) == (1, 1)
-
-    def test_bounded_memo_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            BoundedMemo(0)
-
-    def test_counters_surface_in_enumeration_stats(self):
-        stats = EnumerationStats(forbidden_cache_hits=2, forbidden_cache_misses=3)
-        other = EnumerationStats(forbidden_cache_hits=1, forbidden_cache_misses=4)
-        stats.merge(other)
-        assert stats.forbidden_cache_hits == 3
-        assert stats.forbidden_cache_misses == 7
-        assert "forbidden-path cache" in stats.summary()
-        result = enumerate_cuts(diamond(), Constraints(max_inputs=4, max_outputs=2))
-        assert result.stats.forbidden_cache_hits >= 0
-        assert result.stats.forbidden_cache_misses >= 0
 
 
 class TestClosureHelpers:
